@@ -371,7 +371,9 @@ Decision DetectorBank::sraa_step(std::size_t lane, double value, obs::Tracer* tr
   last_avg_[lane] = average;
   const Transition transition = cascade_step(lane, exceeded);
   if (transition != Transition::kNone) refresh_target(lane);
-  if (tracer != nullptr) {
+  // Cold: untraced fleets never take it. Without the hint GCC may inline the
+  // tracer calls here, which measurably slows the ragged observe_lanes path.
+  if (tracer != nullptr) [[unlikely]] {
     tracer->sample(average, target, exceeded, static_cast<std::int32_t>(bucket_[lane]),
                    static_cast<std::int32_t>(fill_[lane]),
                    static_cast<std::uint32_t>(norig_[lane]));
@@ -459,16 +461,6 @@ void DetectorBank::complete_shift_window(std::size_t lane) {
 // ---------------------------------------------------------------------------
 // Batch paths.
 // ---------------------------------------------------------------------------
-
-void DetectorBank::observe_lane(std::size_t lane, std::span<const double> values) {
-  check_lane(lane);
-  for (const double value : values) {
-    ++observations_[lane];
-    if (step(lane, value, nullptr) == Decision::kRejuvenate) {
-      triggers_.push_back({lane, observations_[lane]});
-    }
-  }
-}
 
 void DetectorBank::observe_rows(std::span<const double> values) {
   if (values.empty()) return;
@@ -966,11 +958,6 @@ bool BankController::observe(std::size_t lane, double value) {
   return false;
 }
 
-bool BankController::lane_needs_scalar(std::size_t lane) const {
-  return cooldown_observations_ > 0 || cooldown_remaining_[lane] > 0 ||
-         tracers_[lane] != nullptr;
-}
-
 std::size_t BankController::drain_bank_triggers() {
   const std::vector<BankTrigger>& triggers = bank_.triggers();
   for (const BankTrigger& trigger : triggers) {
@@ -979,19 +966,6 @@ std::size_t BankController::drain_bank_triggers() {
   const std::size_t count = triggers.size();
   bank_.clear_triggers();
   return count;
-}
-
-std::size_t BankController::observe_lane_all(std::size_t lane, std::span<const double> values) {
-  REJUV_EXPECT(lane < lanes(), "bank lane index out of range");
-  if (!lane_needs_scalar(lane)) {
-    bank_.observe_lane(lane, values);
-    return drain_bank_triggers();
-  }
-  std::size_t triggers = 0;
-  for (const double value : values) {
-    if (observe(lane, value)) ++triggers;
-  }
-  return triggers;
 }
 
 std::size_t BankController::observe_lanes(std::span<const std::uint32_t> lane_ids,

@@ -7,9 +7,9 @@
 // state of N detectors of one family (Static, SRAA, SARAA, SARAA-noaccel,
 // CLTA, Adaptive) into contiguous arrays — running window sums, block counts, bucket
 // pointers, fill counters, cached targets — and advances all lanes per
-// input row with the vectorizable kernels in bank_simd.h (portable
-// autovectorizing loops, plus AVX2/NEON intrinsics behind REJUV_SIMD,
-// runtime-dispatched with the portable loop as fallback).
+// input row with the row kernels in bank_simd.h (AVX2/NEON intrinsics,
+// runtime-dispatched, with portable scalar loops as the fallback and the
+// reference).
 //
 // The contract is bit-identity: for every (family, config, stream), a bank
 // lane makes byte-identical decisions to an independent scalar detector —
@@ -23,8 +23,8 @@
 //
 // BankController layers the RejuvenationController semantics (observation
 // counting, cooldown suppression, trigger history, checkpointing) over a
-// bank, one virtual-call-free controller per lane, so the monitor can drain
-// all shards through one bank advance per batch.
+// bank, one virtual-call-free controller per lane, so the fleet monitor can
+// advance every stream of a shard through one bank call per batch.
 #pragma once
 
 #include <cstddef>
@@ -71,7 +71,8 @@ class DetectorBank {
   static bool supports(std::string_view family) noexcept;
   static bool supports(const DetectorConfig& config) noexcept;
 
-  /// True when this binary carries intrinsic kernels (REJUV_SIMD build).
+  /// True when this binary carries intrinsic kernels (x86-64 or aarch64
+  /// with GCC/Clang).
   static bool simd_compiled() noexcept;
 
   /// Appends one detector instance configured by `config` (validated like
@@ -88,12 +89,6 @@ class DetectorBank {
   /// scalar detector would through `tracer` (nullptr = untraced). Does NOT
   /// record into triggers(); the caller owns the returned Decision.
   Decision observe(std::size_t lane, double value, obs::Tracer* tracer = nullptr);
-
-  /// Feeds a batch to one lane. Unlike Detector::observe_all this does not
-  /// stop at a trigger — the lane self-resets exactly as the scalar
-  /// detector does and keeps consuming; every trigger is recorded in
-  /// triggers().
-  void observe_lane(std::size_t lane, std::span<const double> values);
 
   /// Advances every lane in lockstep: `values` is row-major, one value per
   /// lane per row (values.size() must be a multiple of lanes()). This is
@@ -211,9 +206,8 @@ class DetectorBank {
 /// RejuvenationController semantics over a DetectorBank, one lane per
 /// monitored stream: observation counting, cooldown suppression, 1-based
 /// trigger indices and ControllerState checkpointing are all per lane and
-/// byte-identical to a RejuvenationController wrapping the scalar detector
-/// (the monitor's bank mode relies on this for checkpoint-journal
-/// compatibility with scalar mode, both directions).
+/// byte-identical to a RejuvenationController wrapping the scalar detector,
+/// so a lane's checkpoint record is the scalar controller's record.
 class BankController {
  public:
   /// `cooldown_observations`: as RejuvenationController — observations
@@ -236,11 +230,6 @@ class BankController {
   /// RejuvenationController::observe exactly.
   bool observe(std::size_t lane, double value);
 
-  /// Feeds a batch to one lane; returns the number of triggers. Routes
-  /// through the bank batch path when nothing forces per-value semantics
-  /// (no cooldown configured or pending, no tracer on the lane).
-  std::size_t observe_lane_all(std::size_t lane, std::span<const double> values);
-
   /// Feeds an interleaved batch (values[i] → lane_ids[i]); returns the
   /// number of triggers across lanes. Uses the lockstep scatter/gather
   /// path when every lane is cooldown-free and untraced.
@@ -262,7 +251,6 @@ class BankController {
  private:
   void record_trigger(std::size_t lane, std::uint64_t observation);
   std::size_t drain_bank_triggers();
-  bool lane_needs_scalar(std::size_t lane) const;
 
   DetectorBank bank_;
   std::uint64_t cooldown_observations_;

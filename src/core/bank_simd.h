@@ -20,24 +20,30 @@
 // delta = 0, which leaves fill in [0, D] and the bucket below K, so none of
 // the escalate / de-escalate / trigger conditions can fire spuriously.
 //
-// Intrinsic kernels are compiled only under REJUV_SIMD (CMake option) and
-// use per-function target attributes, so the rest of the translation unit
-// keeps the baseline ISA; callers must still check CPU support at runtime
-// (DetectorBank does, with the portable loop as the fallback).
+// Intrinsic kernels are compiled on x86-64 (AVX2) and aarch64 (NEON) with
+// GCC or Clang, and use per-function target attributes, so the rest of the
+// translation unit keeps the baseline ISA; callers must still check CPU
+// support at runtime (DetectorBank does, with the portable loop as the
+// fallback).
+//
+// The intrinsics are not redundant with the portable loops: GCC 12.2 at -O3
+// vectorizes none of the three portable kernels ("not vectorized: control
+// flow in loop"). Compiling the intrinsics out cost perfbench fleet_1k_hot
+// about 11% CPU per message, and an `omp simd` rewrite of the portable
+// loops ran 2.2-2.7x slower than the intrinsics (docs/BANKS.md has the
+// measurements).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 
-#if defined(REJUV_SIMD)
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define REJUV_BANK_AVX2 1
 #include <immintrin.h>
 #elif defined(__aarch64__) && (defined(__GNUC__) || defined(__clang__))
 #define REJUV_BANK_NEON 1
 #include <arm_neon.h>
-#endif
 #endif
 
 namespace rejuv::core::bank_kernel {
@@ -96,10 +102,11 @@ struct CltaRow {
 };
 
 // ---------------------------------------------------------------------------
-// Portable kernels. Straight-line bodies with ternary selects only — written
-// for if-conversion and autovectorization, and doubling as the semantic
-// reference for the intrinsic versions. `first` lets the intrinsic kernels
-// reuse them for the ragged tail (lanes % vector width).
+// Portable kernels. Straight-line bodies with ternary selects only: the
+// fallback on CPUs without the intrinsic ISA and the semantic reference for
+// the intrinsic versions. Compilers do not vectorize them (see the top of
+// this file). `first` lets the intrinsic kernels reuse them for the ragged
+// tail (lanes % vector width).
 // ---------------------------------------------------------------------------
 
 inline std::uint32_t window_cascade_row_portable(const WindowCascadeRow& r,
@@ -409,8 +416,8 @@ __attribute__((target("avx2"))) inline std::uint32_t clta_row_avx2(const CltaRow
 // ---------------------------------------------------------------------------
 // NEON kernels (aarch64). Two lanes per vector, same per-element IEEE
 // operations. Only the window kernel is written in intrinsics — the cascade
-// families rely on the portable loop, which GCC/Clang if-convert and
-// autovectorize on NEON targets.
+// families run the portable loop, which is not vectorized on x86-64 (see the
+// top of this file) and has not been measured on aarch64.
 // ---------------------------------------------------------------------------
 
 #if defined(REJUV_BANK_NEON)

@@ -48,7 +48,7 @@ class RejuvenationController {
   const std::vector<std::uint64_t>& trigger_indices() const noexcept { return trigger_indices_; }
 
   /// False when the controller holds the no-op NullDetector (explicitly via
-  /// Algorithm::kNone or normalized from a nullptr).
+  /// the "None" family or normalized from a nullptr).
   bool has_detector() const noexcept { return !noop_; }
   const Detector& detector() const noexcept { return *detector_; }
 

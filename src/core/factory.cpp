@@ -7,14 +7,6 @@
 
 namespace rejuv::core {
 
-std::string algorithm_name(Algorithm algorithm) {
-  // Deprecated shim: a plain mapping table, not a dispatch site — dispatch
-  // goes through the registry.
-  static constexpr const char* kNames[] = {"None", "Static", "SRAA", "SARAA", "CLTA"};
-  const auto index = static_cast<std::size_t>(algorithm);
-  return index < std::size(kNames) ? kNames[index] : "Unknown";
-}
-
 DetectorDescriptor null_descriptor() {
   DetectorDescriptor descriptor;
   descriptor.name = "None";

@@ -20,20 +20,6 @@
 
 namespace rejuv::core {
 
-/// Deprecated closed-world family handle, kept so pre-registry call sites
-/// compile unchanged. New code names families by their registry string; the
-/// enum covers only the built-ins that predate the registry.
-enum class Algorithm {
-  kNone,    ///< never rejuvenate (the unmanaged baseline)
-  kStatic,  ///< per-observation static algorithm of [1]
-  kSraa,
-  kSaraa,
-  kClta,
-};
-
-/// Registry family name for a legacy enum value, e.g. "SRAA".
-std::string algorithm_name(Algorithm algorithm);
-
 /// The "None" detector: consumes observations and never rejuvenates (the
 /// unmanaged baseline). Having a real object instead of a nullptr lets
 /// every consumer — controller, harness, monitor — feed the detector

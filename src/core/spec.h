@@ -40,12 +40,8 @@ DetectorConfig parse_spec(std::string_view text);
 
 /// Fluent builder over DetectorConfig. Example:
 ///   auto detector = DetectorSpec("SRAA").n(2).k(5).d(3).build();
-/// The Algorithm overload is a deprecated shim for pre-registry call sites.
 class DetectorSpec {
  public:
-  explicit DetectorSpec(Algorithm algorithm = Algorithm::kSaraa)
-      : config_(algorithm_name(algorithm)) {}
-
   /// Builder seeded with a registered family's schema defaults.
   explicit DetectorSpec(std::string_view family) : config_(family) {}
 

@@ -24,26 +24,6 @@ namespace rejuv::monitor {
 
 namespace {
 
-/// Serializes ingest + worker events into one single-threaded sink (the
-/// same wrapper Monitor uses).
-class LockedSink final : public obs::TraceSink {
- public:
-  explicit LockedSink(obs::TraceSink* inner) : inner_(inner) {}
-
-  void record(const obs::TraceEvent& event) override {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    inner_->record(event);
-  }
-  void flush() override {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    inner_->flush();
-  }
-
- private:
-  std::mutex mutex_;
-  obs::TraceSink* inner_;
-};
-
 /// One routed observation: the lane within the destination shard plus the
 /// value. 16 bytes; thousands fit in the L2-resident ring.
 struct FleetItem {
@@ -379,7 +359,7 @@ FleetStats FleetMonitor::run() {
   locked_sink_.reset();
   obs::TraceSink* sink = nullptr;
   if (trace_sink_ != nullptr) {
-    locked_sink_ = std::make_unique<LockedSink>(trace_sink_);
+    locked_sink_ = std::make_unique<obs::LockedSink>(trace_sink_);
     sink = locked_sink_.get();
   }
   ingest_tracer_ = obs::Tracer(sink);

@@ -1,6 +1,5 @@
 #include "monitor/monitor.h"
 
-#include <mutex>
 #include <thread>
 
 #include "common/expect.h"
@@ -8,27 +7,6 @@
 namespace rejuv::monitor {
 
 namespace {
-
-/// Serializes a multi-threaded monitor's events into one single-threaded
-/// sink. Every tracer (ingest + one per shard) points here; the wrapped
-/// sink sees a totally ordered stream.
-class LockedSink final : public obs::TraceSink {
- public:
-  explicit LockedSink(obs::TraceSink* inner) : inner_(inner) {}
-
-  void record(const obs::TraceEvent& event) override {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    inner_->record(event);
-  }
-  void flush() override {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    inner_->flush();
-  }
-
- private:
-  std::mutex mutex_;
-  obs::TraceSink* inner_;
-};
 
 constexpr std::size_t kDrainBatch = 512;
 
@@ -91,52 +69,6 @@ Monitor::Monitor(MonitorConfig config) : config_(std::move(config)) {
                "inline processing requires a single shard");
   REJUV_EXPECT(config_.checkpoint_every == 0 || !config_.checkpoint_path.empty(),
                "checkpoint interval needs a checkpoint path");
-  if (config_.use_bank) {
-    REJUV_EXPECT(core::DetectorBank::supports(config_.detector),
-                 "bank mode supports the Static/SRAA/SARAA/CLTA/Adaptive families; \"" +
-                     config_.detector.family() + "\" has no bank kernel");
-    REJUV_EXPECT(config_.calibrate == 0,
-                 "bank mode does not support baseline calibration (--calibrate)");
-  }
-}
-
-std::uint64_t Monitor::shard_observations(const Shard& shard) const {
-  if (bank_ != nullptr) return bank_->observations(shard.index);
-  return shard.controller->observations();
-}
-
-const std::vector<std::uint64_t>& Monitor::shard_trigger_indices(const Shard& shard) const {
-  if (bank_ != nullptr) return bank_->trigger_indices(shard.index);
-  return shard.controller->trigger_indices();
-}
-
-void Monitor::shard_observe(Shard& shard, double value) {
-  if (bank_ != nullptr) {
-    bank_->observe(shard.index, value);
-  } else {
-    shard.controller->observe(value);
-  }
-}
-
-void Monitor::shard_observe_all(Shard& shard, std::span<const double> values) {
-  if (bank_ != nullptr) {
-    bank_->observe_lane_all(shard.index, values);
-  } else {
-    shard.controller->observe_all(values);
-  }
-}
-
-core::ControllerState Monitor::shard_save_state(const Shard& shard) const {
-  if (bank_ != nullptr) return bank_->save_state(shard.index);
-  return shard.controller->save_state();
-}
-
-void Monitor::shard_restore_state(Shard& shard, const core::ControllerState& state) {
-  if (bank_ != nullptr) {
-    bank_->restore_state(shard.index, state);
-  } else {
-    shard.controller->restore_state(state);
-  }
 }
 
 bool Monitor::stop_requested() const noexcept {
@@ -148,7 +80,7 @@ double Monitor::shard_time(const Shard& shard) const {
   // Logical time stamps events with the shard's absolute observation
   // position, which is identical across runs of the same input; wall time
   // gives live traces real timestamps.
-  if (config_.logical_time) return static_cast<double>(shard_observations(shard));
+  if (config_.logical_time) return static_cast<double>(shard.controller->observations());
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start_time_).count();
 }
 
@@ -171,7 +103,7 @@ void Monitor::drain_triggers(Shard& shard) {
   // emitted actions, applying the hysteresis ratio. Reading the
   // controller's trigger index list keeps the exact per-observation
   // position of each trigger even on the batch path.
-  const std::vector<std::uint64_t>& indices = shard_trigger_indices(shard);
+  const std::vector<std::uint64_t>& indices = shard.controller->trigger_indices();
   while (shard.seen_triggers < indices.size()) {
     const std::uint64_t observation = indices[shard.seen_triggers++];
     ++shard.stats.triggers;
@@ -197,7 +129,7 @@ void Monitor::write_checkpoint(Shard& shard) {
   record.shard = static_cast<std::uint32_t>(shard.index);
   record.shard_count = static_cast<std::uint32_t>(config_.shards);
   record.triggers_since_action = shard.triggers_since_action;
-  record.controller = shard_save_state(shard);
+  record.controller = shard.controller->save_state();
   checkpoint_writer_->append(record);
   ++shard.stats.checkpoints;
   if (shard.checkpoint_counter != nullptr) shard.checkpoint_counter->increment();
@@ -215,29 +147,28 @@ void Monitor::process_values(Shard& shard, std::span<const double> values) {
       // Split the batch so each checkpoint lands on an exact multiple of
       // the interval — the record's contents are then independent of how
       // observations happened to batch up in the queue.
-      const std::uint64_t done = shard_observations(shard);
+      const std::uint64_t done = shard.controller->observations();
       const std::uint64_t until_next =
           config_.checkpoint_every - (done % config_.checkpoint_every);
       if (until_next < chunk.size()) chunk = chunk.first(static_cast<std::size_t>(until_next));
     }
     if (!traced) {
       // Hot path: hand the whole chunk to the controller, which routes
-      // cooldown-free stretches through Detector::observe_all (or the
-      // bank's per-lane batch path in bank mode).
-      shard_observe_all(shard, chunk);
+      // cooldown-free stretches through Detector::observe_all.
+      shard.controller->observe_all(chunk);
     } else {
       // Traced path: per-observation feeding keeps the event interleaving
       // (txn -> sample -> trigger) identical to simulated traces.
       for (const double value : chunk) {
         shard.tracer.set_time(shard_time(shard));
         shard.tracer.transaction_completed(value);
-        shard_observe(shard, value);
+        shard.controller->observe(value);
       }
     }
     shard.stats.processed += chunk.size();
     if (shard.processed_counter != nullptr) shard.processed_counter->increment(chunk.size());
     drain_triggers(shard);
-    if (periodic && shard_observations(shard) % config_.checkpoint_every == 0) {
+    if (periodic && shard.controller->observations() % config_.checkpoint_every == 0) {
       write_checkpoint(shard);
     }
     values = values.subspan(chunk.size());
@@ -259,75 +190,13 @@ void Monitor::worker_loop(Shard& shard) {
   shard_end(shard);
 }
 
-void Monitor::bank_worker_loop(std::vector<std::unique_ptr<Shard>>& shards) {
-  for (auto& shard : shards) shard_begin(*shard);
-  std::vector<double> batch(kDrainBatch);
-  // Gather buffers for the scatter/gather kernel path; sized once so the
-  // steady-state sweep is allocation-free.
-  std::vector<std::uint32_t> ids;
-  std::vector<double> values;
-  std::vector<std::size_t> fed(shards.size(), 0);
-  ids.reserve(kDrainBatch * shards.size());
-  values.reserve(kDrainBatch * shards.size());
-  bank_->bank().reserve_triggers(kDrainBatch);
-  const bool periodic = checkpoint_writer_ != nullptr && config_.checkpoint_every > 0;
-  while (true) {
-    ids.clear();
-    values.clear();
-    std::fill(fed.begin(), fed.end(), std::size_t{0});
-    bool all_closed = true;
-    bool any_data = false;
-    for (auto& shard_ptr : shards) {
-      Shard& shard = *shard_ptr;
-      const std::size_t count = shard.queue->pop_batch(batch.data(), batch.size());
-      if (count == 0) {
-        if (!(shard.queue->closed() && shard.queue->size() == 0)) all_closed = false;
-        continue;
-      }
-      any_data = true;
-      all_closed = false;
-      if (shard.tracer.enabled() || periodic) {
-        // Tracing and exact checkpoint boundaries need per-shard batch
-        // splitting — same code path as scalar mode; the shard_* accessors
-        // route the feeding into this shard's lane.
-        process_values(shard, std::span<const double>(batch.data(), count));
-      } else {
-        const auto lane = static_cast<std::uint32_t>(shard.index);
-        for (std::size_t i = 0; i < count; ++i) {
-          ids.push_back(lane);
-          values.push_back(batch[i]);
-        }
-        fed[shard.index] = count;
-      }
-    }
-    if (!values.empty()) {
-      // One bank advance covers every drained shard: the rectangular prefix
-      // all lanes share runs through the row kernels, the ragged remainder
-      // per lane (cooldown suppression is handled inside the controller).
-      bank_->observe_lanes(ids, values);
-      for (auto& shard_ptr : shards) {
-        Shard& shard = *shard_ptr;
-        if (fed[shard.index] == 0) continue;
-        shard.stats.processed += fed[shard.index];
-        if (shard.processed_counter != nullptr) {
-          shard.processed_counter->increment(fed[shard.index]);
-        }
-        drain_triggers(shard);
-      }
-    }
-    if (all_closed) break;
-    if (!any_data) std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  for (auto& shard : shards) shard_end(*shard);
-}
-
 MonitorStats Monitor::run(Source& source) {
   stop_.store(false, std::memory_order_release);
   start_time_ = std::chrono::steady_clock::now();
   spec_ = core::describe(config_.detector);
 
-  std::unique_ptr<LockedSink> locked_sink;
-  if (trace_sink_ != nullptr) locked_sink = std::make_unique<LockedSink>(trace_sink_);
+  std::unique_ptr<obs::LockedSink> locked_sink;
+  if (trace_sink_ != nullptr) locked_sink = std::make_unique<obs::LockedSink>(trace_sink_);
 
   // Ingest-side instrumentation (this thread is the only writer).
   obs::Tracer ingest_tracer;
@@ -353,15 +222,6 @@ MonitorStats Monitor::run(Source& source) {
     fault_counter = &metrics_->counter("monitor.source.faults_injected");
   }
 
-  // Bank mode: one BankController holds every shard's detector as a lane;
-  // scalar mode: one RejuvenationController per shard. Either way each
-  // shard keeps its own queue, tracer and stats, and the shard_* accessors
-  // dispatch to whichever controller owns the lane.
-  bank_.reset();
-  if (config_.use_bank) {
-    bank_ = std::make_unique<core::BankController>(config_.detector.family(),
-                                                   config_.cooldown_observations);
-  }
   std::vector<std::unique_ptr<Shard>> shards;
   std::vector<std::thread> workers;
   shards.reserve(config_.shards);
@@ -369,23 +229,15 @@ MonitorStats Monitor::run(Source& source) {
     auto shard = std::make_unique<Shard>();
     shard->index = i;
     shard->queue = std::make_unique<SpscQueue<double>>(config_.queue_capacity);
-    if (bank_ != nullptr) {
-      bank_->add_lane(config_.detector);
-    } else {
-      std::unique_ptr<core::Detector> detector =
-          config_.calibrate > 0 && !config_.detector.is_null()
-              ? std::make_unique<core::CalibratingDetector>(config_.detector, config_.calibrate)
-              : core::make_detector(config_.detector);
-      shard->controller = std::make_unique<core::RejuvenationController>(
-          std::move(detector), config_.cooldown_observations);
-    }
+    std::unique_ptr<core::Detector> detector =
+        config_.calibrate > 0 && !config_.detector.is_null()
+            ? std::make_unique<core::CalibratingDetector>(config_.detector, config_.calibrate)
+            : core::make_detector(config_.detector);
+    shard->controller = std::make_unique<core::RejuvenationController>(
+        std::move(detector), config_.cooldown_observations);
     if (locked_sink != nullptr) {
       shard->tracer.set_sink(locked_sink.get());
-      if (bank_ != nullptr) {
-        bank_->set_tracer(i, &shard->tracer);
-      } else {
-        shard->controller->set_tracer(&shard->tracer);
-      }
+      shard->controller->set_tracer(&shard->tracer);
     }
     if (metrics_ != nullptr) {
       const std::string prefix = "monitor.shard" + std::to_string(i);
@@ -411,7 +263,7 @@ MonitorStats Monitor::run(Source& source) {
                        std::to_string(config_.shards));
       REJUV_EXPECT(record.shard < config_.shards, "checkpoint shard index out of range");
       Shard& shard = *shards[record.shard];
-      shard_restore_state(shard, record.controller);
+      shard.controller->restore_state(record.controller);
       shard.seen_triggers = record.controller.trigger_indices.size();
       shard.trigger_offset = shard.seen_triggers;
       shard.triggers_since_action = record.triggers_since_action;
@@ -434,10 +286,6 @@ MonitorStats Monitor::run(Source& source) {
   const bool inline_mode = config_.inline_processing;
   if (inline_mode) {
     shard_begin(*shards[0]);
-  } else if (bank_ != nullptr) {
-    // One worker advances every lane: the whole point of the bank is that
-    // N detectors per sweep cost one kernel pass, not N threads.
-    workers.emplace_back([this, &shards] { bank_worker_loop(shards); });
   } else {
     workers.reserve(config_.shards);
     for (auto& shard : shards) {

@@ -42,7 +42,6 @@
 #include <string>
 #include <vector>
 
-#include "core/bank.h"
 #include "core/controller.h"
 #include "core/factory.h"
 #include "monitor/checkpoint.h"
@@ -97,15 +96,6 @@ struct MonitorConfig {
   /// workers and queues (requires shards == 1). Deterministic event
   /// interleaving — combined with logical_time, traces are byte-stable.
   bool inline_processing = false;
-  /// Run every shard's detector as one lane of a structure-of-arrays
-  /// DetectorBank instead of per-shard RejuvenationController instances:
-  /// a single bank worker drains all shard queues and advances all lanes
-  /// per batch through the vectorized kernels (core/bank.h). Decisions,
-  /// traces, statistics and checkpoint journal records are bit-identical
-  /// to scalar mode — a bank-mode monitor resumes a scalar-mode journal
-  /// and vice versa. Requires a bankable detector family (Static, SRAA,
-  /// SARAA, SARAA-noaccel, CLTA) and calibrate == 0.
-  bool use_bank = false;
 };
 
 /// One emitted rejuvenation action (post cooldown + hysteresis).
@@ -189,28 +179,13 @@ class Monitor {
   void shard_end(Shard& shard);
   /// Feeds values to the shard's controller (shared by the worker threads
   /// and the inline path), splitting at exact checkpoint boundaries and
-  /// converting controller triggers into actions. In bank mode the shard's
-  /// controller is its lane of bank_.
+  /// converting controller triggers into actions.
   void process_values(Shard& shard, std::span<const double> values);
   void drain_triggers(Shard& shard);
   void write_checkpoint(Shard& shard);
   void worker_loop(Shard& shard);
-  /// Bank mode: the single worker that drains every shard queue and
-  /// advances all lanes per sweep, through the scatter/gather kernel path
-  /// when nothing forces per-shard semantics.
-  void bank_worker_loop(std::vector<std::unique_ptr<Shard>>& shards);
-
-  // Per-shard controller surface, dispatching to the shard's own
-  // RejuvenationController or to its lane of bank_.
-  std::uint64_t shard_observations(const Shard& shard) const;
-  const std::vector<std::uint64_t>& shard_trigger_indices(const Shard& shard) const;
-  void shard_observe(Shard& shard, double value);
-  void shard_observe_all(Shard& shard, std::span<const double> values);
-  core::ControllerState shard_save_state(const Shard& shard) const;
-  void shard_restore_state(Shard& shard, const core::ControllerState& state);
 
   MonitorConfig config_;
-  std::unique_ptr<core::BankController> bank_;  ///< bank mode only
   std::function<void(const RejuvenationAction&)> action_callback_;
   obs::TraceSink* trace_sink_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;

@@ -5,12 +5,14 @@
 // keeps the newest events in memory for flight-recorder post-mortems;
 // JsonlSink and CsvSink stream to an ostream for offline analysis with
 // tools/rejuv_trace or any dataframe library. Sinks are single-threaded,
-// matching the single-writer tracer contract.
+// matching the single-writer tracer contract; LockedSink lets several
+// tracers on different threads share one.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -65,6 +67,27 @@ class JsonlSink final : public TraceSink {
 
  private:
   std::ostream& out_;
+};
+
+/// Serializes events from several threads into one single-threaded sink:
+/// every tracer of a multi-threaded monitor points here, and the wrapped
+/// sink sees a totally ordered stream. `inner` must outlive the wrapper.
+class LockedSink final : public TraceSink {
+ public:
+  explicit LockedSink(TraceSink* inner) : inner_(inner) {}
+
+  void record(const TraceEvent& event) override {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    inner_->record(event);
+  }
+  void flush() override {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    inner_->flush();
+  }
+
+ private:
+  std::mutex mutex_;
+  TraceSink* inner_;
 };
 
 /// Header + one row per event, same field set as the JSONL schema.

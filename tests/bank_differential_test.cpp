@@ -133,6 +133,14 @@ void expect_snapshot_eq(const obs::DetectorSnapshot& a, const obs::DetectorSnaps
   EXPECT_EQ(a.current_target, b.current_target) << context;
 }
 
+/// Feeds a batch that belongs to one lane through the scatter/gather entry
+/// point (every lane id is `lane`).
+template <typename Bank>
+void observe_one_lane(Bank& bank, std::size_t lane, std::span<const double> values) {
+  const std::vector<std::uint32_t> ids(values.size(), static_cast<std::uint32_t>(lane));
+  bank.observe_lanes(ids, values);
+}
+
 /// Per-lane trigger indices recorded by a bank batch run.
 std::vector<std::vector<std::uint64_t>> triggers_by_lane(const core::DetectorBank& bank) {
   std::vector<std::vector<std::uint64_t>> result(bank.lanes());
@@ -227,9 +235,10 @@ TEST_P(BankDifferential, RowKernelBitIdenticalToScalar) {
 }
 
 TEST_P(BankDifferential, ObserveLaneBatchMatchesScalarObserveAll) {
-  // Per-lane batch feed (the monitor shard path) vs the scalar detector's
-  // chunked observe_all: same triggers, same end state. Chunk sizes vary so
-  // window boundaries land mid-chunk.
+  // Per-lane batches (every value of an observe_lanes call for one lane, so
+  // the whole batch takes the ragged path) vs the scalar detector's chunked
+  // observe_all: same triggers, same end state. Chunk sizes vary so window
+  // boundaries land mid-chunk.
   for (int index = 0; index < 8; ++index) {
     const DifferentialCase c = build_case(GetParam(), index, StreamKind::kBursty);
     core::DetectorBank bank(c.family);
@@ -238,7 +247,7 @@ TEST_P(BankDifferential, ObserveLaneBatchMatchesScalarObserveAll) {
       const std::span<const double> stream = c.streams[lane];
       const std::size_t chunk = 1 + (lane + static_cast<std::size_t>(index)) % 17;
       for (std::size_t at = 0; at < stream.size(); at += chunk) {
-        bank.observe_lane(lane, stream.subspan(at, std::min(chunk, stream.size() - at)));
+        observe_one_lane(bank, lane, stream.subspan(at, std::min(chunk, stream.size() - at)));
       }
       const auto scalar = core::make_detector(c.configs[lane]);
       std::vector<std::uint64_t> expected_triggers;
@@ -325,8 +334,8 @@ TEST_P(BankDifferential, MidStreamCheckpointSplitResume) {
     }
     for (std::size_t lane = 0; lane < c.lane_count; ++lane) {
       const std::span<const double> stream = c.streams[lane];
-      first.observe_lane_all(lane, stream.subspan(0, cut));
-      uninterrupted.observe_lane_all(lane, stream);
+      observe_one_lane(first, lane, stream.subspan(0, cut));
+      observe_one_lane(uninterrupted, lane, stream);
       scalars[lane].observe_all(stream);
     }
 
@@ -349,7 +358,7 @@ TEST_P(BankDifferential, MidStreamCheckpointSplitResume) {
       EXPECT_EQ(monitor::to_json(bank_record), monitor::to_json(scalar_record))
           << c.family << " lane " << lane << " cut " << cut;
       resumed.restore_state(lane, saved);
-      resumed.observe_lane_all(lane, std::span(c.streams[lane]).subspan(cut));
+      observe_one_lane(resumed, lane, std::span(c.streams[lane]).subspan(cut));
     }
     for (std::size_t lane = 0; lane < c.lane_count; ++lane) {
       const std::string context = c.family + " lane " + std::to_string(lane) + " cut " +

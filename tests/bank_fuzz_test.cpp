@@ -129,7 +129,8 @@ void run_fuzz_case(int index, bool force_scalar) {
         const std::size_t lane = pick(rng, bank.lanes());
         std::vector<double> batch(pick(rng, 18));
         for (double& v : batch) v = random_value(rng);
-        bank.observe_lane(lane, batch);
+        const std::vector<std::uint32_t> ids(batch.size(), static_cast<std::uint32_t>(lane));
+        bank.observe_lanes(ids, batch);
         for (const double v : batch) shadow[lane].feed(v);
         break;
       }
@@ -235,7 +236,7 @@ TEST(BankFuzz, DegenerateShapes) {
   core::DetectorConfig config{"CLTA"};
   single.add_lane(config);
   const auto scalar = core::make_detector(config);
-  single.observe_lane(0, {});  // empty batch is a no-op
+  single.observe_lanes({}, {});  // empty batch is a no-op
   EXPECT_EQ(single.observations(0), 0u);
   common::RngStream rng(kRootSeed, 0xD0);
   for (int i = 0; i < 500; ++i) {
@@ -264,6 +265,7 @@ TEST(BankFuzz, SteadyStateBatchPathsAllocateNothing) {
     std::vector<double> rows(64 * bank.lanes());
     std::vector<std::uint32_t> ids(256);
     std::vector<double> values(256);
+    const std::vector<std::uint32_t> lane0_ids(64, 0);
     for (double& v : rows) v = random_value(rng);
     for (std::size_t i = 0; i < ids.size(); ++i) {
       ids[i] = static_cast<std::uint32_t>(pick(rng, bank.lanes()));
@@ -279,7 +281,7 @@ TEST(BankFuzz, SteadyStateBatchPathsAllocateNothing) {
     const std::uint64_t before = allocations();
     for (int repeat = 0; repeat < 50; ++repeat) {
       bank.observe_rows(rows);
-      bank.observe_lane(0, std::span(rows).subspan(0, 64));
+      bank.observe_lanes(lane0_ids, std::span(rows).subspan(0, 64));
       bank.observe_lanes(ids, values);
       bank.clear_triggers();
     }
@@ -315,7 +317,8 @@ TEST(BankFuzz, BankControllerMatchesScalarControllersUnderFuzz) {
       } else {
         std::vector<double> batch(pick(rng, 25));
         for (double& v : batch) v = random_value(rng);
-        EXPECT_EQ(controller.observe_lane_all(lane, batch), scalars[lane].observe_all(batch))
+        const std::vector<std::uint32_t> ids(batch.size(), static_cast<std::uint32_t>(lane));
+        EXPECT_EQ(controller.observe_lanes(ids, batch), scalars[lane].observe_all(batch))
             << context;
       }
       if (op % 11 == 10) {

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/bank.h"
 #include "core/controller.h"
 #include "core/factory.h"
 #include "core/spec.h"
@@ -737,6 +738,66 @@ TEST(MonitorResume, KilledAndResumedRunReconstructsTheExactTriggerHistory) {
     if (index > mid[0].controller.observations) expected_tail.push_back(index);
   }
   EXPECT_EQ(resumed_actions, expected_tail);
+  std::remove(journal.c_str());
+}
+
+TEST(MonitorResume, BankControllerJournalResumesInTheScalarMonitor) {
+  // Journals written by bank lanes (one BankController lane per shard, as an
+  // earlier bank-mode monitor wrote them) must resume in the scalar Monitor:
+  // a lane's ControllerState is field-identical to its scalar twin's, so the
+  // resumed per-shard trigger histories equal the offline replay of each
+  // shard's round-robin substream.
+  const char* spec = "SRAA(n=2,K=2,D=2,mu=0.5,sigma=0.5)";
+  constexpr std::size_t kShards = 2;
+  constexpr std::uint64_t kCooldown = 10;
+  const std::vector<double> series =
+      harness::simulate_mmc_response_times(1.8, 1.0, 2, 20'000, 20060625, 0);
+  std::vector<std::vector<double>> substreams(kShards);
+  for (std::size_t i = 0; i < series.size(); ++i) substreams[i % kShards].push_back(series[i]);
+  const std::size_t cut = 4'001;  // per shard, mid-block for n=2
+
+  const std::string journal = ::testing::TempDir() + "/faults_bank_journal.jsonl";
+  std::remove(journal.c_str());
+  const core::DetectorConfig detector = core::parse_spec(spec);
+  {
+    core::BankController bank(detector.family(), kCooldown);
+    monitor::CheckpointWriter writer(journal);
+    for (std::size_t lane = 0; lane < kShards; ++lane) {
+      bank.add_lane(detector);
+      const std::vector<std::uint32_t> ids(cut, static_cast<std::uint32_t>(lane));
+      bank.observe_lanes(ids, std::span<const double>(substreams[lane]).first(cut));
+      monitor::ShardCheckpoint record;
+      record.spec = core::describe(detector);
+      record.shard = static_cast<std::uint32_t>(lane);
+      record.shard_count = kShards;
+      record.controller = bank.save_state(lane);
+      writer.append(record);
+    }
+  }
+
+  monitor::MonitorConfig config;
+  config.detector = detector;
+  config.shards = kShards;
+  config.cooldown_observations = kCooldown;
+  config.checkpoint_path = journal;
+  config.resume_skip = true;  // the vector source replays from the start
+  {
+    monitor::VectorSource source(number_lines(series));
+    monitor::Monitor engine(config);
+    const monitor::MonitorStats stats = engine.run(source);
+    EXPECT_EQ(stats.restored_observations, kShards * cut);
+    EXPECT_EQ(stats.resume_skipped, kShards * cut);
+  }
+  const auto records = monitor::read_latest_checkpoints(journal);
+  ASSERT_EQ(records.size(), kShards);
+  for (const monitor::ShardCheckpoint& record : records) {
+    const std::vector<double>& substream = substreams[record.shard];
+    const std::vector<std::uint64_t> offline =
+        harness::replay_trigger_indices(spec, substream, kCooldown);
+    ASSERT_FALSE(offline.empty());
+    EXPECT_EQ(record.controller.observations, substream.size()) << "shard " << record.shard;
+    EXPECT_EQ(record.controller.trigger_indices, offline) << "shard " << record.shard;
+  }
   std::remove(journal.c_str());
 }
 

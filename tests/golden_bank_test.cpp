@@ -1,10 +1,10 @@
-// Golden regression for the monitor's bank mode: one fixed-seed run in
+// Golden regression for the monitor's traced output: one fixed-seed run in
 // inline + logical-time mode (byte-stable by construction) is byte-compared
-// against tests/golden/bank_monitor.jsonl AND against the identical run in
-// scalar mode. The committed file pins the observable trace format; the
-// in-process scalar comparison pins the bank's bit-identity contract at the
-// monitor level, so a kernel regression shows up as a one-line diff here
-// even if both modes drift together relative to the golden.
+// against tests/golden/bank_monitor.jsonl. The file was recorded by the
+// monitor's former bank mode, whose contract was byte-identity with the
+// scalar controllers; the scalar monitor must still reproduce it exactly.
+// The bank's own bit-identity is pinned at the kernel level by
+// bank_differential_test and bank_fuzz_test.
 //
 // To refresh after an intentional format change:
 //
@@ -53,15 +53,13 @@ std::vector<std::string> fixed_series_lines() {
 }
 
 /// One monitor run over the fixed series, traced to a string. Inline +
-/// logical time make the bytes independent of scheduling and wall clocks;
-/// `use_bank` selects the code path under test.
-std::string traced_monitor_run(bool use_bank) {
+/// logical time make the bytes independent of scheduling and wall clocks.
+std::string traced_monitor_run() {
   monitor::MonitorConfig config;
   config.detector = core::parse_spec("SARAA(n=2,K=3,D=2,mu=0.5,sigma=0.5)");
   config.cooldown_observations = 25;
   config.inline_processing = true;
   config.logical_time = true;
-  config.use_bank = use_bank;
 
   std::ostringstream trace;
   obs::JsonlSink sink(trace);
@@ -96,8 +94,8 @@ std::size_t first_diff_line(const std::string& a, const std::string& b) {
   }
 }
 
-TEST(GoldenBankTest, BankModeTraceMatchesCommittedGolden) {
-  const std::string trace = traced_monitor_run(/*use_bank=*/true);
+TEST(GoldenBankTest, ScalarModeProducesTheSameBytes) {
+  const std::string trace = traced_monitor_run();
   ASSERT_FALSE(trace.empty());
 
   if (std::getenv("REJUV_REGEN_GOLDEN") != nullptr) {
@@ -111,18 +109,7 @@ TEST(GoldenBankTest, BankModeTraceMatchesCommittedGolden) {
   ASSERT_FALSE(committed.empty())
       << golden_path() << " missing; regenerate with REJUV_REGEN_GOLDEN=1 golden_bank_test";
   const std::size_t diff_line = first_diff_line(trace, committed);
-  EXPECT_EQ(diff_line, 0u) << kGoldenFile << ": bank-mode trace first differs at line "
-                           << diff_line;
-}
-
-TEST(GoldenBankTest, ScalarModeProducesTheSameBytes) {
-  // The golden is also the scalar-mode trace: both modes must serialize the
-  // identical event stream, which is the bank's whole contract.
-  const std::string bank_trace = traced_monitor_run(/*use_bank=*/true);
-  const std::string scalar_trace = traced_monitor_run(/*use_bank=*/false);
-  ASSERT_FALSE(bank_trace.empty());
-  const std::size_t diff_line = first_diff_line(bank_trace, scalar_trace);
-  EXPECT_EQ(diff_line, 0u) << "bank and scalar monitor traces first differ at line "
+  EXPECT_EQ(diff_line, 0u) << kGoldenFile << ": monitor trace first differs at line "
                            << diff_line;
 }
 

@@ -78,7 +78,7 @@ TEST(RunPoint, SeedChangesResults) {
 }
 
 TEST(RunPoint, WorkloadIsSharedAcrossDetectors) {
-  // Common random numbers: with rejuvenation disabled via Algorithm::kNone
+  // Common random numbers: with rejuvenation disabled via the "None" family
   // and via an SRAA config that never fires (astronomical baseline), the
   // workload realization must be identical.
   const core::DetectorConfig none{"None"};

@@ -14,8 +14,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -404,179 +402,6 @@ TEST(Monitor, TracedRunRecordsPerShardStreamsAndIngestEvents) {
   EXPECT_EQ(source_open, 1u);
   EXPECT_EQ(source_close, 1u);
   EXPECT_EQ(malformed, 1u);
-}
-
-// ------------------------------------------------------- bank mode
-
-TEST(MonitorBank, RejectsUnsupportedConfigurations) {
-  MonitorConfig unsupported = spec_config("None");
-  unsupported.use_bank = true;
-  EXPECT_THROW(Monitor{unsupported}, std::invalid_argument)
-      << "families without a bank kernel must be refused up front";
-
-  MonitorConfig calibrated = spec_config("SRAA(n=2,K=5,D=3)");
-  calibrated.use_bank = true;
-  calibrated.calibrate = 100;
-  EXPECT_THROW(Monitor{calibrated}, std::invalid_argument)
-      << "calibration wraps the detector, which a bank lane cannot hold";
-}
-
-/// Runs `spec` over `lines` with `shards` shards and returns (stats,
-/// per-shard action observation lists). The callback locks because scalar
-/// mode invokes it from concurrent shard workers.
-std::pair<MonitorStats, std::vector<std::vector<std::uint64_t>>> run_sharded(
-    const std::string& spec, const std::vector<std::string>& lines, std::size_t shards,
-    bool use_bank) {
-  MonitorConfig config = spec_config(spec);
-  config.shards = shards;
-  config.use_bank = use_bank;
-  config.cooldown_observations = 10;
-  config.hysteresis_triggers = 2;
-  Monitor engine(config);
-  std::mutex mutex;
-  std::vector<std::vector<std::uint64_t>> actions(shards);
-  engine.set_action_callback([&](const RejuvenationAction& action) {
-    const std::lock_guard<std::mutex> lock(mutex);
-    actions[action.shard].push_back(action.shard_observation);
-  });
-  VectorSource source(lines);
-  return {engine.run(source), std::move(actions)};
-}
-
-TEST(MonitorBank, MultiShardRunBitMatchesScalarMode) {
-  // The bank-mode acceptance property: same input, same shard count — the
-  // per-shard trigger/action streams and statistics must be bit-identical
-  // to scalar mode's, even though one worker advances all lanes through the
-  // SoA kernels instead of one controller thread per shard.
-  const char* spec = "SRAA(n=2,K=2,D=2,mu=0.5,sigma=0.5)";
-  const std::vector<double> series =
-      harness::simulate_mmc_response_times(1.8, 1.0, 2, 20'000, 20060625, 0);
-  const std::vector<std::string> lines = number_lines(series);
-  constexpr std::size_t kShards = 4;
-
-  const auto [scalar_stats, scalar_actions] = run_sharded(spec, lines, kShards, false);
-  const auto [bank_stats, bank_actions] = run_sharded(spec, lines, kShards, true);
-
-  EXPECT_GT(scalar_stats.triggers(), 0u) << "series must trigger for the test to bite";
-  EXPECT_EQ(bank_stats.parsed, scalar_stats.parsed);
-  EXPECT_EQ(bank_stats.processed(), scalar_stats.processed());
-  EXPECT_EQ(bank_stats.triggers(), scalar_stats.triggers());
-  EXPECT_EQ(bank_stats.actions(), scalar_stats.actions());
-  for (std::size_t shard = 0; shard < kShards; ++shard) {
-    EXPECT_EQ(bank_stats.shards[shard].processed, scalar_stats.shards[shard].processed)
-        << "shard " << shard;
-    EXPECT_EQ(bank_stats.shards[shard].triggers, scalar_stats.shards[shard].triggers)
-        << "shard " << shard;
-    EXPECT_EQ(bank_actions[shard], scalar_actions[shard]) << "shard " << shard;
-  }
-}
-
-TEST(MonitorBank, ShutdownCheckpointJournalIsByteIdenticalToScalarMode) {
-  // One journal written by each mode over the same run: the files must be
-  // byte-identical — this is what lets a bank-mode monitor resume a
-  // scalar-mode journal and vice versa.
-  const std::vector<double> series =
-      harness::simulate_mmc_response_times(1.8, 1.0, 2, 6'000, 20060625, 1);
-  const std::vector<std::string> lines = number_lines(series);
-  const auto run_with_journal = [&](bool use_bank, const std::string& journal) {
-    std::remove(journal.c_str());
-    MonitorConfig config = spec_config("SARAA(n=2,K=3,D=2,mu=0.5,sigma=0.5)");
-    config.shards = 3;
-    config.use_bank = use_bank;
-    config.checkpoint_path = journal;
-    Monitor engine(config);
-    VectorSource source(lines);
-    const MonitorStats stats = engine.run(source);
-    EXPECT_EQ(stats.checkpoints(), 3u);
-    std::ifstream in(journal);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-  };
-  const std::string scalar_path = ::testing::TempDir() + "/bank_journal_scalar.jsonl";
-  const std::string bank_path = ::testing::TempDir() + "/bank_journal_bank.jsonl";
-  const std::string scalar_journal = run_with_journal(false, scalar_path);
-  const std::string bank_journal = run_with_journal(true, bank_path);
-  EXPECT_FALSE(scalar_journal.empty());
-  EXPECT_EQ(bank_journal, scalar_journal);
-  std::remove(scalar_path.c_str());
-  std::remove(bank_path.c_str());
-}
-
-TEST(MonitorBank, JournalsInterchangeAcrossModesMidStream) {
-  // Crash-style handover in both directions: a run in one mode checkpoints
-  // periodically and "dies"; a run in the other mode restores the journal
-  // and finishes the stream. The final trigger history must equal the
-  // offline replay of the uninterrupted series either way.
-  const char* spec = "SRAA(n=2,K=2,D=2,mu=0.5,sigma=0.5)";
-  const std::vector<double> series =
-      harness::simulate_mmc_response_times(1.8, 1.0, 2, 20'000, 20060625, 0);
-  const std::vector<std::uint64_t> offline = harness::replay_trigger_indices(spec, series, 10);
-  ASSERT_FALSE(offline.empty());
-  const std::vector<std::string> lines = number_lines(series);
-
-  for (const bool bank_first : {false, true}) {
-    const std::string journal = ::testing::TempDir() + "/bank_interchange.jsonl";
-    std::remove(journal.c_str());
-    MonitorConfig config = spec_config(spec);
-    config.cooldown_observations = 10;
-    config.checkpoint_path = journal;
-    config.checkpoint_every = 512;
-    config.checkpoint_on_shutdown = false;
-    config.max_observations = series.size() / 2;
-    config.use_bank = bank_first;
-    {
-      VectorSource source(lines);
-      Monitor engine(config);
-      const MonitorStats stats = engine.run(source);
-      EXPECT_GT(stats.checkpoints(), 0u);
-    }
-    config.max_observations = 0;
-    config.checkpoint_on_shutdown = true;
-    config.resume_skip = true;
-    config.use_bank = !bank_first;
-    {
-      VectorSource source(lines);
-      Monitor engine(config);
-      const MonitorStats stats = engine.run(source);
-      EXPECT_GT(stats.restored_observations, 0u)
-          << (bank_first ? "bank->scalar" : "scalar->bank");
-    }
-    const auto records = read_latest_checkpoints(journal);
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(records[0].controller.observations, series.size());
-    EXPECT_EQ(records[0].controller.trigger_indices, offline)
-        << (bank_first ? "bank->scalar" : "scalar->bank")
-        << " handover must reconstruct the exact trigger history";
-    std::remove(journal.c_str());
-  }
-}
-
-TEST(MonitorBank, TracedInlineRunIsByteIdenticalToScalarMode) {
-  // Inline + logical time makes traces byte-stable; bank mode must then
-  // produce the exact bytes scalar mode does (the golden test pins the
-  // same property against a committed file).
-  const std::vector<double> series =
-      harness::simulate_mmc_response_times(1.8, 1.0, 2, 2'000, 20060625, 2);
-  const std::vector<std::string> lines = number_lines(series);
-  const auto traced_run = [&](bool use_bank) {
-    MonitorConfig config = spec_config("SARAA(n=2,K=3,D=2,mu=0.5,sigma=0.5)");
-    config.inline_processing = true;
-    config.logical_time = true;
-    config.use_bank = use_bank;
-    std::ostringstream trace;
-    obs::JsonlSink sink(trace);
-    Monitor engine(config);
-    engine.set_trace_sink(&sink);
-    VectorSource source(lines);
-    const MonitorStats stats = engine.run(source);
-    EXPECT_GT(stats.triggers(), 0u) << "series must trigger for the test to bite";
-    return trace.str();
-  };
-  const std::string scalar_trace = traced_run(false);
-  const std::string bank_trace = traced_run(true);
-  EXPECT_FALSE(scalar_trace.empty());
-  EXPECT_EQ(bank_trace, scalar_trace);
 }
 
 TEST(Monitor, TcpEndToEndWithBudget) {

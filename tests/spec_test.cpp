@@ -86,11 +86,11 @@ TEST(SpecParse, RejectsBadInput) {
 
 TEST(SpecBuilder, FluentChainMatchesFieldAssignment) {
   const DetectorConfig built =
-      DetectorSpec(Algorithm::kSraa).n(2).k(5).d(3).baseline(5.0, 5.0).config();
+      DetectorSpec("SRAA").n(2).k(5).d(3).baseline(5.0, 5.0).config();
   EXPECT_EQ(built, harness::sraa_config({2, 5, 3}));
-  EXPECT_EQ(DetectorSpec(Algorithm::kSraa).n(2).k(5).d(3).str(), "SRAA(n=2,K=5,D=3)");
+  EXPECT_EQ(DetectorSpec("SRAA").n(2).k(5).d(3).str(), "SRAA(n=2,K=5,D=3)");
 
-  const auto detector = DetectorSpec(Algorithm::kSaraa).n(2).k(5).d(3).build();
+  const auto detector = DetectorSpec("SARAA").n(2).k(5).d(3).build();
   ASSERT_NE(detector, nullptr);
   EXPECT_EQ(detector->name(), "SARAA(n=2,K=5,D=3)");
 }
@@ -102,9 +102,9 @@ TEST(SpecBuilder, ParseSeedsABuilder) {
 }
 
 TEST(SpecBuilder, ConfigValidates) {
-  EXPECT_THROW(DetectorSpec(Algorithm::kSraa).n(0).config(), std::invalid_argument);
-  EXPECT_THROW(DetectorSpec(Algorithm::kClta).z(0.0).config(), std::invalid_argument);
-  EXPECT_NO_THROW(DetectorSpec(Algorithm::kNone).config());
+  EXPECT_THROW(DetectorSpec("SRAA").n(0).config(), std::invalid_argument);
+  EXPECT_THROW(DetectorSpec("CLTA").z(0.0).config(), std::invalid_argument);
+  EXPECT_NO_THROW(DetectorSpec("None").config());
 }
 
 TEST(ObserveAll, MatchesPerObservationDecisions) {

@@ -30,12 +30,10 @@
 #                                       (default dir: build)
 #        tools/ci.sh bank [build-dir]   SoA bank bit-identity gate: the bank
 #                                       differential/fuzz/golden suites under
-#                                       ASan+UBSan, once with the SIMD kernels
-#                                       compiled in (-DREJUV_SIMD=ON, plus the
-#                                       in-process force_scalar comparison)
-#                                       and once portable-only (OFF), so both
-#                                       halves of the dispatch are sanitized
-#                                       (default dirs: build-bank{,-scalar})
+#                                       ASan+UBSan; the suites run both halves
+#                                       of the kernel dispatch in-process
+#                                       (intrinsics and force_scalar)
+#                                       (default dir: build-bank)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -43,8 +41,10 @@ cd "$(dirname "$0")/.."
 # The tsan stage builds separately (TSan cannot share objects with the plain
 # build) and runs the test binaries that exercise real threads: the online
 # monitor runtime, the observability registry, the work-stealing execution
-# engine (exec_test plus the parallel-sweep harness tests), and the cluster
-# suite (whose strategy x budget sweep fans out over the shared pool).
+# engine (exec_test plus the parallel-sweep harness tests), the cluster
+# suite (whose strategy x budget sweep fans out over the shared pool), and
+# the fleet engine (threaded shard workers, the journal writers' mutex and
+# concurrent compaction).
 if [ "${1:-}" = "tsan" ]; then
   BUILD_DIR="${2:-build-tsan}"
   GENERATOR_ARGS=()
@@ -56,7 +56,7 @@ if [ "${1:-}" = "tsan" ]; then
   echo "==> tsan build (threaded test binaries)"
   cmake --build "$BUILD_DIR" -j --target monitor_test faults_test obs_test exec_test \
       harness_test property_test bank_differential_test bank_fuzz_test \
-      cluster_test cluster_coordinator_test cluster_chaos_test
+      cluster_test cluster_coordinator_test cluster_chaos_test fleet_test
   echo "==> tsan run"
   "$BUILD_DIR"/tests/monitor_test
   "$BUILD_DIR"/tests/faults_test
@@ -69,6 +69,7 @@ if [ "${1:-}" = "tsan" ]; then
   "$BUILD_DIR"/tests/cluster_test
   "$BUILD_DIR"/tests/cluster_coordinator_test
   "$BUILD_DIR"/tests/cluster_chaos_test
+  "$BUILD_DIR"/tests/fleet_test
   echo "==> ci.sh tsan: all green"
   exit 0
 fi
@@ -124,32 +125,25 @@ fi
 
 # The bank stage is the SIMD bit-identity gate for the SoA detector banks
 # (docs/BANKS.md): the differential and structure-fuzz suites plus the
-# bank-mode monitor golden run under ASan+UBSan in BOTH kernel builds —
-# -DREJUV_SIMD=ON (intrinsics + runtime dispatch, with the force_scalar
-# in-process comparison) and -DREJUV_SIMD=OFF (portable autovectorized
-# kernels only). A lane-indexing bug, a masked-cascade divergence, or UB in
-# an intrinsic path fails here before it can reach the perf numbers.
+# monitor trace golden run under ASan+UBSan. One build covers both kernel
+# paths: the intrinsics are compiled in wherever the target supports them,
+# and the suites compare them in-process against force_scalar() banks that
+# run the portable loops. A lane-indexing bug, a masked-cascade divergence,
+# or UB in an intrinsic path fails here before it can reach the perf numbers.
 if [ "${1:-}" = "bank" ]; then
+  BUILD_DIR="${2:-build-bank}"
   BANK_TESTS=(bank_differential_test bank_fuzz_test golden_bank_test)
-  for MODE in ON OFF; do
-    if [ "$MODE" = "ON" ]; then
-      BUILD_DIR="${2:-build-bank}"
-    else
-      BUILD_DIR="${2:-build-bank}-scalar"
-    fi
-    GENERATOR_ARGS=()
-    if [ ! -f "$BUILD_DIR/CMakeCache.txt" ] && command -v ninja >/dev/null 2>&1; then
-      GENERATOR_ARGS=(-G Ninja)
-    fi
-    echo "==> bank configure (REJUV_SIMD=$MODE, ASan+UBSan)"
-    cmake -B "$BUILD_DIR" -S . "${GENERATOR_ARGS[@]}" \
-        -DREJUV_SIMD="$MODE" -DREJUV_SANITIZE=ON
-    echo "==> bank build (REJUV_SIMD=$MODE)"
-    cmake --build "$BUILD_DIR" -j --target "${BANK_TESTS[@]}"
-    echo "==> bank run (REJUV_SIMD=$MODE)"
-    for test in "${BANK_TESTS[@]}"; do
-      "$BUILD_DIR"/tests/"$test"
-    done
+  GENERATOR_ARGS=()
+  if [ ! -f "$BUILD_DIR/CMakeCache.txt" ] && command -v ninja >/dev/null 2>&1; then
+    GENERATOR_ARGS=(-G Ninja)
+  fi
+  echo "==> bank configure (ASan+UBSan)"
+  cmake -B "$BUILD_DIR" -S . "${GENERATOR_ARGS[@]}" -DREJUV_SANITIZE=ON
+  echo "==> bank build"
+  cmake --build "$BUILD_DIR" -j --target "${BANK_TESTS[@]}"
+  echo "==> bank run"
+  for test in "${BANK_TESTS[@]}"; do
+    "$BUILD_DIR"/tests/"$test"
   done
   echo "==> ci.sh bank: all green"
   exit 0

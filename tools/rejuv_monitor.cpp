@@ -54,11 +54,6 @@
 //                          of wall-clock seconds (byte-stable traces)
 //   --inline               process on the ingest thread, no workers/queues
 //                          (requires --shards=1; deterministic interleaving)
-//   --bank                 run all shards as lanes of one SoA detector bank
-//                          advanced by a single worker through vectorized
-//                          kernels (bit-identical decisions, traces and
-//                          checkpoints; Static/SRAA/SARAA/CLTA families,
-//                          incompatible with --calibrate; see docs/BANKS.md)
 //   --trace=FILE           structured event trace (JSONL; .csv selects CSV);
 //                          analyze with rejuv-trace
 //   --metrics              dump the metrics registry to stderr at the end
@@ -263,7 +258,6 @@ int main(int argc, char** argv) {
     config.calibrate = static_cast<std::uint64_t>(flags.get_int("calibrate", 0));
     config.logical_time = flags.has("logical-time");
     config.inline_processing = flags.has("inline");
-    config.use_bank = flags.has("bank");
     config.checkpoint_path = flags.get("checkpoint").value_or("");
     config.checkpoint_every = static_cast<std::uint64_t>(flags.get_int("checkpoint-every", 0));
 
@@ -328,8 +322,7 @@ int main(int argc, char** argv) {
     if (want_metrics) engine.set_metrics(&registry);
 
     std::cerr << "rejuv-monitor: " << core::describe(config.detector) << " on "
-              << source->describe() << ", " << config.shards << " shard(s)"
-              << (config.use_bank ? " (bank mode)" : "") << ", queue "
+              << source->describe() << ", " << config.shards << " shard(s), queue "
               << config.queue_capacity << ", "
               << (config.drop_when_full ? "drop" : "block") << " on backpressure\n";
 
