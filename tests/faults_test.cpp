@@ -1,8 +1,8 @@
 // Chaos and crash-recovery suite: deterministic fault injection
-// (FaultPlan/FaultySource/FaultyQueue), supervised reconnection with
+// (FaultPlan/FaultySource), supervised reconnection with
 // backoff, the SIGPIPE regression, and checkpoint/restore — including the
-// acceptance property that a monitor surviving every fault primitive in
-// blocking mode still makes bit-identical decisions to the offline replay,
+// acceptance property that a monitor surviving every fault primitive still
+// makes bit-identical decisions to the offline replay,
 // and that a killed-and-resumed monitor reconstructs the exact trigger
 // history of an uninterrupted run.
 #include <gtest/gtest.h>
@@ -23,7 +23,6 @@
 #include "core/factory.h"
 #include "core/spec.h"
 #include "faults/fault_plan.h"
-#include "faults/faulty_queue.h"
 #include "faults/faulty_source.h"
 #include "harness/experiment.h"
 #include "monitor/checkpoint.h"
@@ -401,23 +400,6 @@ TEST(SourceSupervisor, ZeroBudgetDisablesSupervisionEntirely) {
       << "failures pass straight through";
 }
 
-// ------------------------------------------------------- FaultyQueue
-
-TEST(FaultyQueue, RefusesExactlyThePlannedAttempts) {
-  monitor::SpscQueue<double> queue(8);
-  FaultyQueue<double> faulty(queue, {2, 5});
-  std::vector<double> accepted;
-  for (int i = 1; i <= 6; ++i) {
-    if (faulty.try_push(i)) accepted.push_back(i);
-  }
-  EXPECT_EQ(faulty.attempts(), 6u);
-  EXPECT_EQ(faulty.refused(), 2u);
-  double out[8];
-  const std::size_t popped = faulty.pop_batch(out, 8);
-  ASSERT_EQ(popped, 4u);
-  EXPECT_EQ((std::vector<double>(out, out + popped)), (std::vector<double>{1, 3, 4, 6}));
-}
-
 // ------------------------------------------------------- SIGPIPE
 
 TEST(SigPipe, WriteToAClosedPeerFailsWithEpipeInsteadOfKillingTheProcess) {
@@ -441,8 +423,7 @@ TEST(SigPipe, WriteToAClosedPeerFailsWithEpipeInsteadOfKillingTheProcess) {
 
 // ------------------------------------------------------- chaos acceptance
 
-/// Monitor decisions under a fault plan (supervised, blocking, one shard)
-/// must bit-match the offline replay of the same clean series: no fault
+/// Monitor decisions under a fault plan (supervised) must bit-match the offline replay of the same clean series: no fault
 /// primitive may lose, duplicate, or reorder an observation.
 class ChaosBitMatch : public ::testing::TestWithParam<const char*> {};
 
@@ -476,7 +457,7 @@ TEST_P(ChaosBitMatch, SupervisedFaultySourceLosesNoDecisions) {
   monitor::Monitor engine(config);
   std::vector<std::uint64_t> online;
   engine.set_action_callback([&online](const monitor::RejuvenationAction& action) {
-    online.push_back(action.shard_observation);
+    online.push_back(action.observation);
   });
   const monitor::MonitorStats stats = engine.run(supervisor);
   EXPECT_FALSE(stats.source_error) << stats.source_error_message;
@@ -703,7 +684,7 @@ TEST(MonitorResume, KilledAndResumedRunReconstructsTheExactTriggerHistory) {
     monitor::Monitor engine(config);
     const monitor::MonitorStats stats = engine.run(source);
     EXPECT_EQ(stats.parsed, series.size() / 2);
-    EXPECT_GT(stats.checkpoints(), 0u);
+    EXPECT_GT(stats.checkpoints, 0u);
   }
   const auto mid = monitor::read_latest_checkpoints(journal);
   ASSERT_EQ(mid.size(), 1u);
@@ -719,7 +700,7 @@ TEST(MonitorResume, KilledAndResumedRunReconstructsTheExactTriggerHistory) {
     monitor::VectorSource source(lines);
     monitor::Monitor engine(config);
     engine.set_action_callback([&resumed_actions](const monitor::RejuvenationAction& action) {
-      resumed_actions.push_back(action.shard_observation);
+      resumed_actions.push_back(action.observation);
     });
     const monitor::MonitorStats stats = engine.run(source);
     EXPECT_EQ(stats.restored_observations, mid[0].controller.observations);
@@ -742,62 +723,118 @@ TEST(MonitorResume, KilledAndResumedRunReconstructsTheExactTriggerHistory) {
 }
 
 TEST(MonitorResume, BankControllerJournalResumesInTheScalarMonitor) {
-  // Journals written by bank lanes (one BankController lane per shard, as an
-  // earlier bank-mode monitor wrote them) must resume in the scalar Monitor:
-  // a lane's ControllerState is field-identical to its scalar twin's, so the
-  // resumed per-shard trigger histories equal the offline replay of each
-  // shard's round-robin substream.
+  // Journals written by a bank lane (as the earlier bank-mode monitor wrote
+  // them) must resume in the scalar Monitor: a lane's ControllerState is
+  // field-identical to its scalar twin's, so the resumed run must end in
+  // exactly the state of one scalar controller fed the whole series.
   const char* spec = "SRAA(n=2,K=2,D=2,mu=0.5,sigma=0.5)";
-  constexpr std::size_t kShards = 2;
   constexpr std::uint64_t kCooldown = 10;
   const std::vector<double> series =
       harness::simulate_mmc_response_times(1.8, 1.0, 2, 20'000, 20060625, 0);
-  std::vector<std::vector<double>> substreams(kShards);
-  for (std::size_t i = 0; i < series.size(); ++i) substreams[i % kShards].push_back(series[i]);
-  const std::size_t cut = 4'001;  // per shard, mid-block for n=2
+  const std::vector<std::uint64_t> offline =
+      harness::replay_trigger_indices(spec, series, kCooldown);
+  ASSERT_FALSE(offline.empty());
+  const std::size_t cut = 8'001;  // mid-block for n=2
 
   const std::string journal = ::testing::TempDir() + "/faults_bank_journal.jsonl";
   std::remove(journal.c_str());
   const core::DetectorConfig detector = core::parse_spec(spec);
   {
     core::BankController bank(detector.family(), kCooldown);
-    monitor::CheckpointWriter writer(journal);
-    for (std::size_t lane = 0; lane < kShards; ++lane) {
-      bank.add_lane(detector);
-      const std::vector<std::uint32_t> ids(cut, static_cast<std::uint32_t>(lane));
-      bank.observe_lanes(ids, std::span<const double>(substreams[lane]).first(cut));
-      monitor::ShardCheckpoint record;
-      record.spec = core::describe(detector);
-      record.shard = static_cast<std::uint32_t>(lane);
-      record.shard_count = kShards;
-      record.controller = bank.save_state(lane);
-      writer.append(record);
-    }
+    bank.add_lane(detector);
+    const std::vector<std::uint32_t> ids(cut, 0);
+    bank.observe_lanes(ids, std::span<const double>(series).first(cut));
+    monitor::ShardCheckpoint record;
+    record.spec = core::describe(detector);
+    record.controller = bank.save_state(0);
+    monitor::CheckpointWriter(journal).append(record);
   }
 
   monitor::MonitorConfig config;
   config.detector = detector;
-  config.shards = kShards;
   config.cooldown_observations = kCooldown;
   config.checkpoint_path = journal;
   config.resume_skip = true;  // the vector source replays from the start
+  std::vector<std::uint64_t> resumed_actions;
   {
     monitor::VectorSource source(number_lines(series));
     monitor::Monitor engine(config);
+    engine.set_action_callback([&resumed_actions](const monitor::RejuvenationAction& action) {
+      resumed_actions.push_back(action.observation);
+    });
     const monitor::MonitorStats stats = engine.run(source);
-    EXPECT_EQ(stats.restored_observations, kShards * cut);
-    EXPECT_EQ(stats.resume_skipped, kShards * cut);
+    EXPECT_EQ(stats.restored_observations, cut);
+    EXPECT_EQ(stats.resume_skipped, cut);
+    EXPECT_EQ(stats.parsed, series.size() - cut);
   }
+  std::vector<std::uint64_t> expected_tail;
+  for (const std::uint64_t index : offline) {
+    if (index > cut) expected_tail.push_back(index);
+  }
+  ASSERT_FALSE(expected_tail.empty());
+  EXPECT_EQ(resumed_actions, expected_tail);
+
+  core::RejuvenationController scalar(core::make_detector(detector), kCooldown);
+  for (const double value : series) scalar.observe(value);
   const auto records = monitor::read_latest_checkpoints(journal);
-  ASSERT_EQ(records.size(), kShards);
-  for (const monitor::ShardCheckpoint& record : records) {
-    const std::vector<double>& substream = substreams[record.shard];
-    const std::vector<std::uint64_t> offline =
-        harness::replay_trigger_indices(spec, substream, kCooldown);
-    ASSERT_FALSE(offline.empty());
-    EXPECT_EQ(record.controller.observations, substream.size()) << "shard " << record.shard;
-    EXPECT_EQ(record.controller.trigger_indices, offline) << "shard " << record.shard;
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].controller.trigger_indices, offline);
+  monitor::ShardCheckpoint want = records[0];
+  want.controller = scalar.save_state();
+  EXPECT_EQ(monitor::to_json(records[0]), monitor::to_json(want))
+      << "resumed end state must equal one uninterrupted scalar run bit for bit";
+  std::remove(journal.c_str());
+}
+
+TEST(MonitorResume, RestoreRejectsAMultiShardJournal) {
+  // A journal from a monitor that dealt the stream round-robin over two
+  // controllers holds two substream states. Neither is the state of the
+  // whole stream, so resuming from shard 0 would silently change every
+  // later decision: the restore must refuse the journal instead.
+  const char* spec = "SRAA(n=2,K=2,D=2,mu=0.5,sigma=0.5)";
+  const std::string journal = ::testing::TempDir() + "/faults_two_shard_journal.jsonl";
+  std::remove(journal.c_str());
+  const core::DetectorConfig detector = core::parse_spec(spec);
+  const std::vector<double> series =
+      harness::simulate_mmc_response_times(1.8, 1.0, 2, 2'000, 20060625, 0);
+  {
+    monitor::CheckpointWriter writer(journal);
+    for (std::uint32_t shard = 0; shard < 2; ++shard) {
+      core::RejuvenationController controller(core::make_detector(detector), 0);
+      for (std::size_t i = shard; i < series.size(); i += 2) controller.observe(series[i]);
+      monitor::ShardCheckpoint record;
+      record.spec = core::describe(detector);
+      record.shard = shard;
+      record.shard_count = 2;
+      record.controller = controller.save_state();
+      writer.append(record);
+    }
   }
+  const auto read_lines = [&journal] {
+    std::vector<std::string> lines;
+    std::ifstream in(journal);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    return lines;
+  };
+  const std::vector<std::string> journal_before = read_lines();
+  ASSERT_EQ(journal_before.size(), 2u);
+
+  monitor::MonitorConfig config;
+  config.detector = detector;
+  config.checkpoint_path = journal;
+  monitor::VectorSource source(number_lines(series));
+  monitor::Monitor engine(config);
+  std::uint64_t actions = 0;
+  engine.set_action_callback([&actions](const monitor::RejuvenationAction&) { ++actions; });
+  try {
+    engine.run(source);
+    ADD_FAILURE() << "a two-shard journal must not resume";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("shard topology mismatch"), std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(actions, 0u) << "nothing may be processed from a refused journal";
+  EXPECT_EQ(read_lines(), journal_before) << "a refused journal must be left untouched";
   std::remove(journal.c_str());
 }
 
@@ -821,12 +858,6 @@ TEST(MonitorResume, RestoreRejectsASpecMismatch) {
 }
 
 TEST(MonitorResume, ConfigValidationCatchesInconsistentSettings) {
-  monitor::MonitorConfig inline_sharded;
-  inline_sharded.detector = core::parse_spec("None");
-  inline_sharded.inline_processing = true;
-  inline_sharded.shards = 2;
-  EXPECT_THROW(monitor::Monitor{inline_sharded}, std::invalid_argument);
-
   monitor::MonitorConfig pathless;
   pathless.detector = core::parse_spec("None");
   pathless.checkpoint_every = 100;  // interval without a journal path

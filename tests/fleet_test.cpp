@@ -2,7 +2,9 @@
 // and routing, end-to-end binary ingestion pinned against a sequentially-fed
 // bank twin, legacy text-client compatibility, bit-exact kill-and-resume
 // through the sharded checkpoint journal, size-triggered journal compaction,
-// and the TcpSource descriptor-exhaustion regression.
+// a seeded property test pinning every stream to its own scalar replay under
+// random interleavings, torn writes and shard counts, and the TcpSource
+// descriptor-exhaustion regression.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -12,17 +14,23 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <map>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/bank.h"
+#include "core/controller.h"
 #include "core/factory.h"
 #include "core/registry.h"
+#include "harness/experiment.h"
 #include "monitor/checkpoint.h"
 #include "monitor/event_loop.h"
 #include "monitor/fleet.h"
@@ -510,6 +518,174 @@ TEST(FleetTest, JournalCompactionBoundsGrowthAndRestoresExactly) {
 
   remove_journals(journal);
 }
+
+// ------------------------------------------------------- seeded property
+
+/// Read end of a pipe being fed `bytes` in random 1..40 byte writes, so
+/// wire frames (15 bytes each) are routinely torn across reads. Now and then
+/// the writer trickles a few 1..7 byte pieces with a pause after each, so
+/// the reader also sees single frames torn into three or more reads.
+int pipe_feeding_torn(std::string bytes, std::uint64_t seed, std::thread& writer) {
+  int fds[2] = {-1, -1};
+  EXPECT_EQ(::pipe(fds), 0);
+  writer = std::thread([fd = fds[1], bytes = std::move(bytes), seed] {
+    common::RngStream rng(seed, 0);
+    std::size_t offset = 0;
+    std::size_t trickle = 0;
+    while (offset < bytes.size()) {
+      if (trickle == 0 && rng() % 128 == 0) trickle = 6;
+      const std::size_t piece = trickle > 0 ? 1 + rng() % 7 : 1 + rng() % 40;
+      const std::size_t end = std::min(bytes.size(), offset + piece);
+      while (offset < end) {
+        const ssize_t n = ::write(fd, bytes.data() + offset, end - offset);
+        if (n <= 0) {
+          ::close(fd);
+          return;
+        }
+        offset += static_cast<std::size_t>(n);
+      }
+      if (trickle > 0) {
+        --trickle;
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    }
+    ::close(fd);
+  });
+  return fds[0];
+}
+
+struct PropertyStream {
+  std::uint32_t id = 0;
+  std::vector<double> values;
+};
+
+/// Healthy, degraded and regime-switching streams of random length around
+/// the default muX = sigmaX = 5 baseline.
+std::vector<PropertyStream> property_streams(common::RngStream& rng) {
+  std::vector<PropertyStream> streams(8 + rng() % 33);
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    PropertyStream& stream = streams[i];
+    stream.id = static_cast<std::uint32_t>(i * 1000 + rng() % 1000);  // distinct, < 2^31
+    const std::size_t length = 20 + rng() % 241;
+    bool degraded = false;
+    std::size_t regime_left = 0;
+    for (std::size_t k = 0; k < length; ++k) {
+      if (regime_left == 0) {
+        degraded = i % 3 == 1 || (i % 3 == 2 && rng.uniform01() < 0.4);
+        regime_left = 5 + rng() % 30;
+      }
+      --regime_left;
+      stream.values.push_back(degraded ? 10.0 + 30.0 * rng.uniform01() : 10.0 * rng.uniform01());
+    }
+  }
+  return streams;
+}
+
+class FleetProperty : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(FleetProperty, EveryStreamMatchesItsOwnScalarReplay) {
+  // The fleet's contract, independent of how streams share shards, queues,
+  // pipes and reads: each stream's decisions and end state are exactly
+  // those of one scalar controller fed that stream alone.
+  core::DetectorConfig detector{GetParam()};
+  if (detector.has("n")) detector.set("n", 2);
+  if (detector.has("K")) detector.set("K", 3);
+  if (detector.has("D")) detector.set("D", 2);
+  const auto make_detector = [&detector] { return core::make_detector(detector); };
+  std::uint64_t seed = 0xF1EE75EEDULL;
+  for (const char c : std::string(GetParam())) seed = seed * 131 + static_cast<unsigned char>(c);
+
+  std::uint64_t round = 0;
+  for (const std::size_t shards : {1, 2, 3, 5}) {
+    for (const bool inline_mode : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "shards=" << shards << " inline=" << inline_mode);
+      common::RngStream rng(seed, ++round);
+      const std::vector<PropertyStream> streams = property_streams(rng);
+      const std::uint64_t cooldown = 1 + rng() % 12;
+
+      // Random interleaving: every step appends the next value of a random
+      // unfinished stream to that stream's pipe, so per-stream order holds
+      // while streams mix arbitrarily within and across pipes.
+      const std::size_t pipes = 1 + rng() % 3;
+      std::vector<std::string> bytes(pipes);
+      for (std::string& pipe_bytes : bytes) wire::append_preamble(pipe_bytes);
+      std::vector<std::size_t> next(streams.size(), 0);
+      std::vector<std::size_t> unfinished(streams.size());
+      for (std::size_t i = 0; i < unfinished.size(); ++i) unfinished[i] = i;
+      std::uint64_t total = 0;
+      while (!unfinished.empty()) {
+        const std::size_t pick = rng() % unfinished.size();
+        const std::size_t i = unfinished[pick];
+        wire::append_observation(bytes[i % pipes], streams[i].id, streams[i].values[next[i]]);
+        ++total;
+        if (++next[i] == streams[i].values.size()) {
+          unfinished[pick] = unfinished.back();
+          unfinished.pop_back();
+        }
+      }
+
+      FleetConfig config;
+      config.detector = detector;
+      config.shards = shards;
+      config.listen = false;
+      config.inline_processing = inline_mode;
+      config.cooldown_observations = cooldown;
+      config.queue_capacity = 16;  // threaded mode: ingest blocks on full queues
+      std::vector<std::thread> writers(pipes);
+      for (std::size_t p = 0; p < pipes; ++p) {
+        config.input_fds.push_back(pipe_feeding_torn(bytes[p], rng(), writers[p]));
+      }
+
+      FleetMonitor fleet(config);
+      std::mutex actions_mutex;  // threaded mode calls back from every worker
+      std::map<std::uint32_t, std::vector<std::uint64_t>> actions;
+      fleet.set_action_callback([&](const FleetAction& action) {
+        const std::lock_guard<std::mutex> lock(actions_mutex);
+        actions[action.stream_id].push_back(action.observation);
+      });
+      const FleetStats stats = fleet.run();
+      for (std::thread& writer : writers) writer.join();
+
+      EXPECT_EQ(stats.frames, total);
+      EXPECT_EQ(stats.processed, total);
+      EXPECT_EQ(stats.dropped, 0u);
+      EXPECT_EQ(stats.protocol_errors, 0u);
+      ASSERT_EQ(stats.streams, streams.size());
+
+      std::uint64_t triggers = 0;
+      const StreamTable& table = fleet.streams();
+      for (const PropertyStream& stream : streams) {
+        const std::vector<std::uint64_t> offline =
+            harness::replay_trigger_indices(make_detector, stream.values, cooldown);
+        core::RejuvenationController scalar(make_detector(), cooldown);
+        for (const double value : stream.values) scalar.observe(value);
+        triggers += offline.size();
+
+        const std::uint32_t dense = table.find(stream.id);
+        ASSERT_NE(dense, StreamTable::kInvalidStream) << "stream " << stream.id;
+        const core::BankController& lanes = table.controller(table.shard_of(dense));
+        EXPECT_EQ(actions[stream.id], offline) << "stream " << stream.id;
+        EXPECT_EQ(state_json(lanes.save_state(table.lane_of(dense))),
+                  state_json(scalar.save_state()))
+            << "stream " << stream.id;
+      }
+      EXPECT_EQ(stats.triggers, triggers);
+      EXPECT_GT(triggers, 0u) << "the streams must exercise the trigger and cooldown paths";
+    }
+  }
+}
+
+const char* const kBankableFamilies[] = {"Static", "SRAA",     "SARAA",
+                                         "SARAA-noaccel", "CLTA", "Adaptive"};
+
+std::string family_test_name(const ::testing::TestParamInfo<const char*>& param) {
+  std::string name = param.param;
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(BankableFamilies, FleetProperty, ::testing::ValuesIn(kBankableFamilies),
+                         family_test_name);
 
 TEST(TcpHardening, AcceptSurvivesDescriptorExhaustion) {
   TcpSource source(0);

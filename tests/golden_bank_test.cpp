@@ -1,5 +1,5 @@
 // Golden regression for the monitor's traced output: one fixed-seed run in
-// inline + logical-time mode (byte-stable by construction) is byte-compared
+// logical-time mode (byte-stable by construction) is byte-compared
 // against tests/golden/bank_monitor.jsonl. The file was recorded by the
 // monitor's former bank mode, whose contract was byte-identity with the
 // scalar controllers; the scalar monitor must still reproduce it exactly.
@@ -52,13 +52,12 @@ std::vector<std::string> fixed_series_lines() {
   return lines;
 }
 
-/// One monitor run over the fixed series, traced to a string. Inline +
-/// logical time make the bytes independent of scheduling and wall clocks.
+/// One monitor run over the fixed series, traced to a string. Logical time
+/// makes the bytes independent of wall clocks.
 std::string traced_monitor_run() {
   monitor::MonitorConfig config;
   config.detector = core::parse_spec("SARAA(n=2,K=3,D=2,mu=0.5,sigma=0.5)");
   config.cooldown_observations = 25;
-  config.inline_processing = true;
   config.logical_time = true;
 
   std::ostringstream trace;
@@ -67,7 +66,7 @@ std::string traced_monitor_run() {
   engine.set_trace_sink(&sink);
   monitor::VectorSource source(fixed_series_lines());
   const monitor::MonitorStats stats = engine.run(source);
-  EXPECT_GT(stats.triggers(), 0u) << "golden run must trigger to pin anything interesting";
+  EXPECT_GT(stats.triggers, 0u) << "golden run must trigger to pin anything interesting";
   return trace.str();
 }
 

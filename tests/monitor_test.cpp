@@ -1,8 +1,8 @@
 // Tests for the online monitoring runtime: the SPSC queue, line parsing,
 // sources (vector, file, tcp), and the Monitor engine's contracts —
-// lossless blocking backpressure, exact drop accounting, watchdog firing,
-// malformed-input rejection, deterministic shutdown, and single-shard
-// decision equivalence with the offline replay harness.
+// lossless ingest, hysteresis, watchdog firing, malformed-input rejection,
+// deterministic shutdown, and decision equivalence with the offline replay
+// harness.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -24,6 +24,7 @@
 #include "monitor/source.h"
 #include "monitor/spsc_queue.h"
 #include "obs/event.h"
+#include "obs/metrics.h"
 #include "obs/sink.h"
 
 namespace rejuv::monitor {
@@ -193,48 +194,7 @@ TEST(Monitor, CountsParsedSkippedAndMalformedLines) {
   EXPECT_EQ(stats.parsed, 2u);
   EXPECT_EQ(stats.skipped, 2u);
   EXPECT_EQ(stats.malformed, 2u);
-  EXPECT_EQ(stats.processed(), 2u);
-  EXPECT_EQ(stats.dropped(), 0u);
-  EXPECT_EQ(stats.triggers(), 0u);
-}
-
-TEST(Monitor, BlockingBackpressureLosesNothingAgainstASlowConsumer) {
-  constexpr std::uint64_t kCount = 200;
-  VectorSource source(number_lines(std::vector<double>(kCount, 1e6)));
-  MonitorConfig config = spec_config("SRAA(n=1,K=1,D=1)");
-  config.queue_capacity = 2;
-  Monitor engine(config);
-  // SRAA(1,1,1) fed 1e6 triggers every second observation; the callback
-  // runs on the worker thread, so sleeping here makes the consumer far
-  // slower than ingest.
-  engine.set_action_callback([](const RejuvenationAction&) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  });
-  const MonitorStats stats = engine.run(source);
-  EXPECT_EQ(stats.parsed, kCount);
-  EXPECT_EQ(stats.dropped(), 0u);
-  EXPECT_EQ(stats.processed(), kCount);
-  EXPECT_EQ(stats.triggers(), kCount / 2);
-}
-
-TEST(Monitor, DropModeAccountsForEveryOverflowExactly) {
-  constexpr std::uint64_t kCount = 2000;
-  VectorSource source(number_lines(std::vector<double>(kCount, 1e6)));
-  MonitorConfig config = spec_config("SRAA(n=1,K=1,D=1)");
-  config.queue_capacity = 2;
-  config.drop_when_full = true;
-  Monitor engine(config);
-  engine.set_action_callback([](const RejuvenationAction&) {
-    std::this_thread::sleep_for(std::chrono::microseconds(500));
-  });
-  const MonitorStats stats = engine.run(source);
-  EXPECT_EQ(stats.parsed, kCount);
-  EXPECT_GT(stats.dropped(), 0u) << "a stalled consumer must force drops";
-  ASSERT_EQ(stats.shards.size(), 1u);
-  // The invariant that makes drop counts exact: every parsed observation is
-  // either enqueued (and later processed) or counted as dropped.
-  EXPECT_EQ(stats.shards[0].enqueued + stats.shards[0].dropped, kCount);
-  EXPECT_EQ(stats.processed(), stats.shards[0].enqueued);
+  EXPECT_EQ(stats.triggers, 0u);
 }
 
 TEST(Monitor, HysteresisEmitsOneActionPerNTriggers) {
@@ -248,13 +208,13 @@ TEST(Monitor, HysteresisEmitsOneActionPerNTriggers) {
   engine.set_action_callback(
       [&actions](const RejuvenationAction& action) { actions.push_back(action); });
   const MonitorStats stats = engine.run(source);
-  EXPECT_EQ(stats.triggers(), 5u);
-  EXPECT_EQ(stats.actions(), 2u);  // triggers 2 and 4
+  EXPECT_EQ(stats.triggers, 5u);
+  EXPECT_EQ(stats.actions, 2u);  // triggers 2 and 4
   ASSERT_EQ(actions.size(), 2u);
   EXPECT_EQ(actions[0].trigger_number, 2u);
-  EXPECT_EQ(actions[0].shard_observation, 4u);
+  EXPECT_EQ(actions[0].observation, 4u);
   EXPECT_EQ(actions[1].trigger_number, 4u);
-  EXPECT_EQ(actions[1].shard_observation, 8u);
+  EXPECT_EQ(actions[1].observation, 8u);
 }
 
 /// A source that never produces data: every call waits out the budget.
@@ -297,7 +257,6 @@ TEST(Monitor, RequestStopShutsDownAnEndlessSourceDeterministically) {
   const MonitorStats stats = engine.run(source);
   stopper.join();
   EXPECT_EQ(stats.parsed, 0u);
-  EXPECT_EQ(stats.processed(), 0u);
 }
 
 TEST(Monitor, MaxObservationsBoundsTheRun) {
@@ -307,12 +266,11 @@ TEST(Monitor, MaxObservationsBoundsTheRun) {
   Monitor engine(config);
   const MonitorStats stats = engine.run(source);
   EXPECT_EQ(stats.parsed, 7u);
-  EXPECT_EQ(stats.processed(), 7u);
 }
 
 TEST(Monitor, SingleShardDecisionsBitMatchTheOfflineReplay) {
-  // The acceptance property: a monitor with one shard must make exactly the
-  // decisions the offline harness makes for the same spec and series.
+  // The acceptance property: the monitor must make exactly the decisions
+  // the offline harness makes for the same spec and series.
   const char* spec = "SRAA(n=2,K=2,D=2,mu=0.5,sigma=0.5)";
   const std::vector<double> series =
       harness::simulate_mmc_response_times(/*lambda=*/1.8, /*mu=*/1.0, /*cpus=*/2,
@@ -328,35 +286,31 @@ TEST(Monitor, SingleShardDecisionsBitMatchTheOfflineReplay) {
   Monitor engine(config);
   std::vector<std::uint64_t> online;
   engine.set_action_callback([&online](const RejuvenationAction& action) {
-    online.push_back(action.shard_observation);
+    online.push_back(action.observation);
   });
   const MonitorStats stats = engine.run(source);
   EXPECT_EQ(stats.parsed, series.size());
   EXPECT_EQ(online, offline);
-  EXPECT_EQ(stats.triggers(), offline.size());
+  EXPECT_EQ(stats.triggers, offline.size());
 }
 
 TEST(Monitor, MillionObservationsUnthrottledWithZeroLoss) {
+  // Every parsed observation reaches the controller before the next line is
+  // read, so nothing can be lost: the controller sees all of them.
   constexpr std::uint64_t kCount = 1'000'000;
   VectorSource source(std::vector<std::string>(kCount, "1"));
-  MonitorConfig config = spec_config("SARAA(n=2,K=5,D=3)");
-  config.shards = 2;
-  Monitor engine(config);
+  Monitor engine(spec_config("SARAA(n=2,K=5,D=3)"));
+  obs::MetricsRegistry metrics;
+  engine.set_metrics(&metrics);
   const MonitorStats stats = engine.run(source);
   EXPECT_EQ(stats.parsed, kCount);
-  EXPECT_EQ(stats.processed(), kCount);
-  EXPECT_EQ(stats.dropped(), 0u);
-  ASSERT_EQ(stats.shards.size(), 2u);
-  EXPECT_EQ(stats.shards[0].processed, kCount / 2);
-  EXPECT_EQ(stats.shards[1].processed, kCount / 2);
-  EXPECT_EQ(stats.triggers(), 0u) << "healthy observations must not trigger";
+  EXPECT_EQ(metrics.counter("monitor.shard0.processed").value(), kCount);
+  EXPECT_EQ(stats.triggers, 0u) << "healthy observations must not trigger";
 }
 
-TEST(Monitor, TracedRunRecordsPerShardStreamsAndIngestEvents) {
+TEST(Monitor, TracedRunRecordsTheControllerStreamAndIngestEvents) {
   VectorSource source({"1.0", "junk", "2.0", "3.0", "4.0"});
-  MonitorConfig config = spec_config("SARAA(n=2,K=5,D=3)");
-  config.shards = 2;
-  Monitor engine(config);
+  Monitor engine(spec_config("SARAA(n=2,K=5,D=3)"));
   obs::RingBufferSink sink(1024);
   engine.set_trace_sink(&sink);
   const MonitorStats stats = engine.run(source);
@@ -372,7 +326,7 @@ TEST(Monitor, TracedRunRecordsPerShardStreamsAndIngestEvents) {
     switch (event.type) {
       case obs::EventType::kRunStart:
         ++run_starts;
-        EXPECT_LT(event.rep, 2u) << "shard id travels in the rep field";
+        EXPECT_EQ(event.rep, 0u) << "controller events carry stream id 0 in rep";
         break;
       case obs::EventType::kRunEnd:
         ++run_ends;
@@ -396,8 +350,8 @@ TEST(Monitor, TracedRunRecordsPerShardStreamsAndIngestEvents) {
         break;
     }
   }
-  EXPECT_EQ(run_starts, 2u);
-  EXPECT_EQ(run_ends, 2u);
+  EXPECT_EQ(run_starts, 1u);
+  EXPECT_EQ(run_ends, 1u);
   EXPECT_EQ(txns, 4u);
   EXPECT_EQ(source_open, 1u);
   EXPECT_EQ(source_close, 1u);
@@ -429,7 +383,6 @@ TEST(Monitor, TcpEndToEndWithBudget) {
   client.join();
   EXPECT_EQ(stats.parsed, 3u);
   EXPECT_EQ(stats.malformed, 1u);
-  EXPECT_EQ(stats.processed(), 3u);
 }
 
 }  // namespace

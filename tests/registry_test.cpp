@@ -178,7 +178,6 @@ TEST(RegistryExtension, ToyFamilyRunsInMonitor) {
 
   monitor::MonitorConfig config;
   config.detector = core::parse_spec("Toy(T=10,mu=1,sigma=1)");
-  config.inline_processing = true;
   config.logical_time = true;
 
   std::vector<std::string> lines(100, "2.0");
@@ -186,7 +185,7 @@ TEST(RegistryExtension, ToyFamilyRunsInMonitor) {
   monitor::Monitor engine(config);
   const monitor::MonitorStats stats = engine.run(source);
   EXPECT_EQ(stats.parsed, 100u);
-  EXPECT_EQ(stats.triggers(), 10u);
+  EXPECT_EQ(stats.triggers, 10u);
 }
 
 TEST(RegistryExtension, DuplicateAndMalformedRegistrationsAreRejected) {

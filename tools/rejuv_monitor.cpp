@@ -10,11 +10,15 @@
 //   rejuv-monitor --detector='SARAA(n=2,K=5,D=3)' --source=file:run.jsonl
 //
 //   seq 1 100000 | rejuv-monitor --detector='SRAA(n=2,K=5,D=3)'
-//   rejuv-monitor --source=tcp:9090 --shards=4 --watchdog-ms=5000 --retry=8
+//   rejuv-monitor --source=tcp:9090 --watchdog-ms=5000 --retry=8
+//
+// The classic engine runs one detector over one stream, on the ingest
+// thread: every observation reaches the controller before the next line is
+// read. For many concurrent streams use --fleet (below).
 //
 // Each emitted rejuvenation action prints one line to stdout; the summary
-// goes to stderr. SIGINT/SIGTERM shut down cleanly (queues drain, stats are
-// final). Exit codes: 0 = clean end of stream (or budget/stop), 1 = bad
+// goes to stderr. SIGINT/SIGTERM shut down cleanly (stats are final).
+// Exit codes: 0 = clean end of stream (or budget/stop), 1 = bad
 // configuration, 2 = the run ended on an unrecoverable source I/O error.
 // Flags (defaults in brackets):
 //   --detector=SPEC        detector spec, e.g. 'SRAA(n=2,K=5,D=3)',
@@ -26,15 +30,12 @@
 //                          spec of its defaults, checkpoint tag and parameter
 //                          docs — and exit
 //   --source=SPEC          stdin | file:PATH | follow:PATH | tcp:PORT [stdin]
-//   --shards=N             worker shards, round-robin routing [1]
-//   --queue=N              per-shard queue capacity (power of 2) [4096]
 //   --cooldown=N           controller cooldown in observations [0]
 //   --hysteresis=N         detector triggers per emitted action [1]
-//   --drop                 drop on a full queue instead of blocking ingest
 //   --watchdog-ms=N        idle-source watchdog timeout, 0 = off [0]
 //   --max-obs=N            stop after N observations, 0 = unbounded [0]
 //   --calibrate=N          estimate the baseline from the first N healthy
-//                          observations per shard [off]
+//                          observations [off]
 //   --retry=N              supervise the source: tolerate up to N consecutive
 //                          failures, reconnecting with backoff [0 = off]
 //   --backoff-ms=I[:M]     initial (and max) reconnect backoff delay [100:5000]
@@ -44,16 +45,14 @@
 //                          'seed=7,disconnect@100,stall@200:50ms,garble@300x5,
 //                          partial@400,eof@500' (see docs/ROBUSTNESS.md)
 //   --checkpoint=PATH      JSONL checkpoint journal; restores from it when it
-//                          already holds records for this spec and topology
-//   --checkpoint-every=N   also checkpoint every N observations per shard
+//                          already holds a record for this spec
+//   --checkpoint-every=N   also checkpoint every N observations
 //                          [0 = at shutdown only]
 //   --no-resume-replay     the source continues where the saved run stopped;
 //                          do not skip restored observations (default: the
 //                          replayed prefix is skipped for file:/follow:)
 //   --logical-time         stamp trace events with stream positions instead
 //                          of wall-clock seconds (byte-stable traces)
-//   --inline               process on the ingest thread, no workers/queues
-//                          (requires --shards=1; deterministic interleaving)
 //   --trace=FILE           structured event trace (JSONL; .csv selects CSV);
 //                          analyze with rejuv-trace
 //   --metrics              dump the metrics registry to stderr at the end
@@ -63,10 +62,14 @@
 //   --fleet                epoll ingestion engine: every stream is a lane of
 //                          a per-shard SoA detector bank. --source must be
 //                          tcp:PORT (loopback listener, any number of
-//                          clients) or stdin. Honors --shards, --queue,
-//                          --cooldown, --drop, --max-obs, --checkpoint,
-//                          --checkpoint-every, --logical-time, --inline,
-//                          --trace, --metrics, --quiet
+//                          clients) or stdin. Honors --cooldown, --max-obs,
+//                          --checkpoint, --checkpoint-every, --logical-time,
+//                          --trace, --metrics, --quiet, plus:
+//   --shards=N             bank worker shards; streams spread over them [1]
+//   --queue=N              per-shard queue capacity (power of 2) [65536]
+//   --drop                 drop on a full shard queue instead of blocking
+//   --inline               decode, route and advance on the ingest thread,
+//                          no workers/queues (deterministic interleaving)
 //   --wire=MODE            auto | binary | text: the wire protocol accepted
 //                          on every connection. auto sniffs the first byte
 //                          (0xF5 = binary framing, else legacy text) [auto]
@@ -83,7 +86,6 @@
 
 #include "common/expect.h"
 #include "common/flags.h"
-#include "common/table.h"
 #include "core/factory.h"
 #include "core/registry.h"
 #include "core/spec.h"
@@ -245,19 +247,23 @@ int main(int argc, char** argv) {
 
     if (flags.has("fleet")) return run_fleet(flags);
 
+    // Shard and queue flags belong to the fleet engine. Ignoring them here
+    // would silently run a different configuration than the one asked for.
+    for (const char* fleet_only : {"shards", "queue", "drop", "inline"}) {
+      REJUV_EXPECT(!flags.has(fleet_only), std::string("--") + fleet_only +
+                                               " needs --fleet: the classic monitor runs "
+                                               "one controller over one stream");
+    }
+
     monitor::MonitorConfig config;
     config.detector =
         core::parse_spec(flags.get("detector").value_or("SARAA(n=2,K=5,D=3)"));
-    config.shards = static_cast<std::size_t>(flags.get_int("shards", 1));
-    config.queue_capacity = static_cast<std::size_t>(flags.get_int("queue", 4096));
     config.cooldown_observations = static_cast<std::uint64_t>(flags.get_int("cooldown", 0));
     config.hysteresis_triggers = static_cast<std::uint64_t>(flags.get_int("hysteresis", 1));
-    config.drop_when_full = flags.has("drop");
     config.watchdog_timeout = std::chrono::milliseconds(flags.get_int("watchdog-ms", 0));
     config.max_observations = static_cast<std::uint64_t>(flags.get_int("max-obs", 0));
     config.calibrate = static_cast<std::uint64_t>(flags.get_int("calibrate", 0));
     config.logical_time = flags.has("logical-time");
-    config.inline_processing = flags.has("inline");
     config.checkpoint_path = flags.get("checkpoint").value_or("");
     config.checkpoint_every = static_cast<std::uint64_t>(flags.get_int("checkpoint-every", 0));
 
@@ -298,8 +304,8 @@ int main(int argc, char** argv) {
     if (!quiet) {
       engine.set_action_callback([](const monitor::RejuvenationAction& action) {
         // One parseable line per action so downstream automation can pipe
-        // the decision stream.
-        std::cout << "rejuvenate shard=" << action.shard << " obs=" << action.shard_observation
+        // the decision stream (shard=0 keeps the established line format).
+        std::cout << "rejuvenate shard=0 obs=" << action.observation
                   << " trigger=" << action.trigger_number << "\n"
                   << std::flush;
       });
@@ -322,24 +328,14 @@ int main(int argc, char** argv) {
     if (want_metrics) engine.set_metrics(&registry);
 
     std::cerr << "rejuv-monitor: " << core::describe(config.detector) << " on "
-              << source->describe() << ", " << config.shards << " shard(s), queue "
-              << config.queue_capacity << ", "
-              << (config.drop_when_full ? "drop" : "block") << " on backpressure\n";
+              << source->describe() << "\n";
 
     const monitor::MonitorStats stats = engine.run(*source);
 
-    common::Table table({"shard", "enqueued", "dropped", "processed", "triggers", "actions"});
-    for (std::size_t i = 0; i < stats.shards.size(); ++i) {
-      const monitor::ShardStats& shard = stats.shards[i];
-      table.add_row({std::to_string(i), std::to_string(shard.enqueued),
-                     std::to_string(shard.dropped), std::to_string(shard.processed),
-                     std::to_string(shard.triggers), std::to_string(shard.actions)});
-    }
-    common::print_table(std::cerr, "per-shard summary", table);
     std::cerr << "lines=" << stats.lines << " observations=" << stats.parsed
               << " skipped=" << stats.skipped << " malformed=" << stats.malformed
-              << " dropped=" << stats.dropped() << " watchdog_timeouts=" << stats.watchdog_timeouts
-              << " triggers=" << stats.triggers() << " actions=" << stats.actions() << "\n";
+              << " watchdog_timeouts=" << stats.watchdog_timeouts << " triggers=" << stats.triggers
+              << " actions=" << stats.actions << "\n";
     if (stats.source_errors > 0 || stats.source_reconnects > 0 || stats.source_restarts > 0 ||
         stats.faults_injected > 0) {
       std::cerr << "source_errors=" << stats.source_errors
@@ -348,7 +344,7 @@ int main(int argc, char** argv) {
                 << " faults_injected=" << stats.faults_injected << "\n";
     }
     if (!config.checkpoint_path.empty()) {
-      std::cerr << "checkpoints=" << stats.checkpoints()
+      std::cerr << "checkpoints=" << stats.checkpoints
                 << " restored_observations=" << stats.restored_observations
                 << " resume_skipped=" << stats.resume_skipped << "\n";
     }
