@@ -5,12 +5,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <span>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -234,6 +236,56 @@ void register_bank_suite(Registry& registry) {
                    do_not_optimize(triggers);
                  });
   }
+
+  // The open-loop fleet shape: a 100k-lane SRAA bank fed observe_lanes
+  // batches of kBatch values whose lane ids are Zipf-distributed (a few hot
+  // streams, a long tail), so each batch touches a few hundred of the 100k
+  // lanes. One operation = one value; the cost must follow the batch, not
+  // the width of the bank.
+  constexpr std::size_t kWideLanes = 100000;
+  struct SparseFixture {
+    core::DetectorBank bank{"SRAA"};
+    std::vector<std::uint32_t> ids = std::vector<std::uint32_t>(kDataSize);
+    std::size_t cursor = 0;
+  };
+  const auto sparse = std::make_shared<SparseFixture>();
+  {
+    const core::DetectorConfig config = core::parse_spec("SRAA(n=2,K=5,D=3,mu=5,sigma=5)");
+    for (std::size_t lane = 0; lane < kWideLanes; ++lane) sparse->bank.add_lane(config);
+    sparse->bank.reserve_triggers(kBatch);
+    common::RngStream rng(0xBA'2BEA7, 2);
+    std::vector<std::uint32_t> lane_of_rank(kWideLanes);
+    for (std::size_t r = 0; r < kWideLanes; ++r) lane_of_rank[r] = static_cast<std::uint32_t>(r);
+    for (std::size_t r = kWideLanes - 1; r > 0; --r) {
+      const auto j = static_cast<std::size_t>(rng.uniform01() * static_cast<double>(r + 1));
+      std::swap(lane_of_rank[r], lane_of_rank[j]);
+    }
+    std::vector<double> cdf(kWideLanes);
+    double sum = 0.0;
+    for (std::size_t r = 0; r < kWideLanes; ++r) cdf[r] = (sum += 1.0 / static_cast<double>(r + 1));
+    for (double& c : cdf) c /= sum;
+    for (std::uint32_t& id : sparse->ids) {
+      const auto rank = static_cast<std::size_t>(
+          std::lower_bound(cdf.begin(), cdf.end(), rng.uniform01()) - cdf.begin());
+      id = lane_of_rank[std::min(rank, kWideLanes - 1)];
+    }
+  }
+  registry.add("bank", "bank.sraa.sparse_100k", [data, sparse](std::uint64_t n) {
+    std::uint64_t triggers = 0;
+    std::uint64_t done = 0;
+    while (done < n) {
+      const std::size_t size =
+          n - done < kBatch ? static_cast<std::size_t>(n - done) : kBatch;
+      const std::size_t at = sparse->cursor;
+      sparse->bank.observe_lanes(std::span<const std::uint32_t>(sparse->ids.data() + at, size),
+                                 std::span<const double>(data->data() + at, size));
+      triggers += sparse->bank.triggers().size();
+      sparse->bank.clear_triggers();
+      sparse->cursor = (at + kBatch) & kDataMask;
+      done += size;
+    }
+    do_not_optimize(triggers);
+  });
 }
 
 void register_sim_suite(Registry& registry) {

@@ -15,6 +15,10 @@ namespace rejuv::core {
 
 namespace {
 
+/// observe_lanes walks every lane in index order once at least one lane in
+/// this many is touched (see there).
+constexpr std::size_t kLaneOrderDensity = 8;
+
 /// The scalar detectors these SoA kernels replicate.
 bool family_is_bankable(std::string_view canonical) {
   return canonical == "Static" || canonical == "SRAA" || canonical == "SARAA" ||
@@ -596,37 +600,77 @@ void DetectorBank::record_row_triggers() {
   }
 }
 
+void DetectorBank::count_lanes(std::span<const std::uint32_t> lane_ids) {
+  // lane_fill_ is all zero between batches. The append is branch-free: every
+  // id is stored, and the count only moves past a lane seen for the first
+  // time, so touched_ needs one slot past the most lanes a batch can touch.
+  // Like columns_, it grows to the largest batch seen, not with lanes().
+  const std::size_t lane_count = lanes();
+  const std::size_t slots = std::min(lane_ids.size(), lane_count) + 1;
+  if (touched_.size() < slots) touched_.resize(slots);
+  std::uint32_t* touched = touched_.data();
+  std::size_t touched_count = 0;
+  for (const std::uint32_t id : lane_ids) {
+    if (id >= lane_count) {
+      for (std::size_t k = 0; k < touched_count; ++k) lane_fill_[touched[k]] = 0;
+      REJUV_EXPECT(id < lane_count, "observe_lanes lane id out of range");
+    }
+    touched[touched_count] = id;
+    touched_count += lane_fill_[id]++ == 0 ? 1 : 0;
+  }
+  touched_count_ = touched_count;
+}
+
+void DetectorBank::note_touched(std::span<const std::uint32_t> lane_ids) {
+  touched_count_ = 0;
+  count_lanes(lane_ids);
+  for (const std::uint32_t lane : touched_lanes()) lane_fill_[lane] = 0;
+}
+
 void DetectorBank::observe_lanes(std::span<const std::uint32_t> lane_ids,
                                  std::span<const double> values) {
   REJUV_EXPECT(lane_ids.size() == values.size(),
                "observe_lanes needs one lane id per value");
+  touched_count_ = 0;
   if (values.empty()) return;
   const std::size_t lane_count = lanes();
   REJUV_EXPECT(lane_count > 0, "observe_lanes on an empty bank");
+  count_lanes(lane_ids);
+  const std::span<const std::uint32_t> touched_list = touched_lanes();
 
-  // Gather the interleaved input into per-lane columns (stable, so each
-  // lane sees its own observations in arrival order).
-  std::fill(lane_fill_.begin(), lane_fill_.end(), std::uint64_t{0});
-  for (const std::uint32_t id : lane_ids) {
-    REJUV_EXPECT(id < lane_count, "observe_lanes lane id out of range");
-    ++lane_fill_[id];
-  }
+  // Walk order. A batch that touches at least one lane in
+  // kLaneOrderDensity is walked over every lane in index order, so the SoA
+  // arrays stream through the cache; that costs at most kLaneOrderDensity
+  // untouched lanes per touched one, still O(batch). Sparser batches visit
+  // only their touched lanes, in first-appearance order: a batch costs what
+  // it carries, never O(lanes()).
+  const bool lane_order = touched_list.size() * kLaneOrderDensity >= lane_count;
+  // Rows every lane shares; nonzero only when every lane is touched.
+  std::uint64_t rect = lane_order ? std::numeric_limits<std::uint64_t>::max() : 0;
   std::size_t offset = 0;
-  std::uint64_t rect = std::numeric_limits<std::uint64_t>::max();
-  for (std::size_t l = 0; l < lane_count; ++l) {
-    lane_offset_[l] = offset;
-    offset += static_cast<std::size_t>(lane_fill_[l]);
-    rect = std::min(rect, lane_fill_[l]);
+  // Column offsets; lane_fill_ restarts as the gather cursor.
+  const auto place = [&](std::size_t lane) {
+    lane_offset_[lane] = offset;
+    offset += static_cast<std::size_t>(lane_fill_[lane]);
+    lane_fill_[lane] = 0;
+  };
+  if (lane_order) {
+    for (std::size_t l = 0; l < lane_count; ++l) {
+      rect = std::min(rect, lane_fill_[l]);
+      place(l);
+    }
+  } else {
+    for (const std::uint32_t lane : touched_list) place(lane);
   }
   if (columns_.size() < values.size()) columns_.resize(values.size());
-  std::fill(lane_fill_.begin(), lane_fill_.end(), std::uint64_t{0});
+  // Stable gather: each lane sees its own observations in arrival order.
   for (std::size_t i = 0; i < values.size(); ++i) {
     const std::uint32_t id = lane_ids[i];
     columns_[lane_offset_[id] + static_cast<std::size_t>(lane_fill_[id]++)] = values[i];
   }
 
-  // Rectangular prefix: every lane has at least `rect` observations, so
-  // they advance in lockstep through the row kernel.
+  // Dense batches: every lane has at least `rect` observations, so that
+  // many rows advance in lockstep through the row kernel.
   for (std::uint64_t r = 0; r < rect; ++r) {
     for (std::size_t l = 0; l < lane_count; ++l) {
       row_buf_[l] = columns_[lane_offset_[l] + static_cast<std::size_t>(r)];
@@ -634,15 +678,23 @@ void DetectorBank::observe_lanes(std::span<const std::uint32_t> lane_ids,
     advance_row(row_buf_.data());
   }
 
-  // Ragged remainder: the surplus observations of busier lanes, per lane.
-  for (std::size_t l = 0; l < lane_count; ++l) {
-    const auto total = static_cast<std::size_t>(lane_fill_[l]);
+  // The rest of each lane's column, stepped per lane (resetting lane_fill_
+  // for the next batch).
+  const auto step_rest = [&](std::size_t lane) {
+    const auto total = static_cast<std::size_t>(lane_fill_[lane]);
+    lane_fill_[lane] = 0;
+    const double* column = columns_.data() + lane_offset_[lane];
     for (std::size_t k = static_cast<std::size_t>(rect); k < total; ++k) {
-      ++observations_[l];
-      if (step(l, columns_[lane_offset_[l] + k], nullptr) == Decision::kRejuvenate) {
-        triggers_.push_back({l, observations_[l]});
+      ++observations_[lane];
+      if (step(lane, column[k], nullptr) == Decision::kRejuvenate) {
+        triggers_.push_back({lane, observations_[lane]});
       }
     }
+  };
+  if (lane_order) {
+    for (std::size_t l = 0; l < lane_count; ++l) step_rest(l);
+  } else {
+    for (const std::uint32_t lane : touched_list) step_rest(lane);
   }
 }
 
@@ -977,6 +1029,7 @@ std::size_t BankController::observe_lanes(std::span<const std::uint32_t> lane_id
     bank_.observe_lanes(lane_ids, values);
     return drain_bank_triggers();
   }
+  bank_.note_touched(lane_ids);
   std::size_t triggers = 0;
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (observe(lane_ids[i], values[i])) ++triggers;

@@ -98,10 +98,23 @@ class DetectorBank {
   /// Scatter/gather entry point for interleaved multi-stream input:
   /// values[i] is an observation for lane_ids[i]. Per-lane observation
   /// order is preserved (that is all bit-identity needs — lanes are
-  /// independent); the rectangular prefix every lane shares is advanced
-  /// through the row kernel, the ragged remainder per lane. Triggers are
-  /// recorded in triggers(), grouped by lane.
+  /// independent). Dense batches use the row kernel, sparse batches step
+  /// only their touched lanes: a batch costs O(values + touched lanes),
+  /// never O(lanes()). (Dense = every lane touched: the rows all lanes
+  /// share go through the row kernel, then each lane's surplus is stepped.
+  /// A batch touching at least 1 lane in 8 is walked in lane order for
+  /// cache locality.) Triggers are recorded in triggers(); a batch that is
+  /// not dense records them grouped by lane.
   void observe_lanes(std::span<const std::uint32_t> lane_ids, std::span<const double> values);
+
+  /// The distinct lanes of the last observe_lanes batch, in order of first
+  /// appearance (empty after an empty batch).
+  std::span<const std::uint32_t> touched_lanes() const noexcept {
+    return {touched_.data(), touched_count_};
+  }
+  /// Sets touched_lanes() to the distinct lanes of `lane_ids` without
+  /// advancing any lane, for a caller that feeds the batch value by value.
+  void note_touched(std::span<const std::uint32_t> lane_ids);
 
   /// Triggers recorded by the batch paths since the last clear_triggers(),
   /// in processing order (per-lane order is monotone).
@@ -145,6 +158,7 @@ class DetectorBank {
   void advance_row(const double* row);
   void fixup_changed_lanes();
   void record_row_triggers();
+  void count_lanes(std::span<const std::uint32_t> lane_ids);
   void check_lane(std::size_t lane) const;
 
   Family family_;
@@ -194,8 +208,12 @@ class DetectorBank {
   std::vector<unsigned char> changed_flags_;
   std::vector<unsigned char> trig_flags_;
 
-  // observe_lanes scratch: per-lane counts/offsets and the gathered columns.
+  // observe_lanes scratch: per-lane counts/offsets (lane_fill_ is zero
+  // between batches), the batch's touched lanes (the first touched_count_
+  // slots) and the gathered columns.
   std::vector<std::uint64_t> lane_fill_;
+  std::vector<std::uint32_t> touched_;
+  std::size_t touched_count_ = 0;
   std::vector<std::size_t> lane_offset_;
   std::vector<double> columns_;
   std::vector<double> row_buf_;
@@ -235,6 +253,10 @@ class BankController {
   /// path when every lane is cooldown-free and untraced.
   std::size_t observe_lanes(std::span<const std::uint32_t> lane_ids,
                             std::span<const double> values);
+
+  /// The distinct lanes of the last observe_lanes batch, in order of first
+  /// appearance — on both the lockstep and the per-value path.
+  std::span<const std::uint32_t> touched_lanes() const noexcept { return bank_.touched_lanes(); }
 
   std::uint64_t observations(std::size_t lane) const;
   std::uint64_t rejuvenations(std::size_t lane) const;

@@ -195,11 +195,14 @@ void FleetMonitor::process_batch(WorkerShard& shard, const std::uint32_t* lanes,
   shard.processed += count;
   if (counters_.processed != nullptr) counters_.processed->increment(count);
 
+  // Per-lane follow-up walks the batch's distinct lanes in first-appearance
+  // order: actions come out lane by lane in that order, each lane's
+  // triggers ascending.
+  const std::span<const std::uint32_t> touched = ctrl.touched_lanes();
   if (new_triggers > 0) {
     shard.triggers += new_triggers;
     if (counters_.triggers != nullptr) counters_.triggers->increment(new_triggers);
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::uint32_t lane = lanes[i];
+    for (const std::uint32_t lane : touched) {
       const std::vector<std::uint64_t>& indices = ctrl.trigger_indices(lane);
       while (shard.seen_triggers[lane] < indices.size()) {
         const std::uint64_t observation = indices[shard.seen_triggers[lane]++];
@@ -213,8 +216,7 @@ void FleetMonitor::process_batch(WorkerShard& shard, const std::uint32_t* lanes,
   }
 
   if (config_.checkpoint_every > 0) {
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::uint32_t lane = lanes[i];
+    for (const std::uint32_t lane : touched) {
       if (ctrl.observations(lane) - shard.last_checkpoint[lane] >= config_.checkpoint_every) {
         write_stream_checkpoint(shard, lane);
       }

@@ -1,8 +1,8 @@
 // Fleet-scale ingestion engine: one process, 100k+ concurrent streams.
 //
-// FleetMonitor is the fleet-mode counterpart of Monitor: instead of one
-// Source feeding a handful of shards, a single epoll ingest thread
-// (event_loop.h) multiplexes a loopback TCP listener plus any number of
+// FleetMonitor is the fleet-mode counterpart of Monitor: where Monitor
+// feeds one stream from one Source through one controller, a single epoll
+// ingest thread (event_loop.h) multiplexes a loopback TCP listener plus any number of
 // pre-opened pipe/file descriptors, decodes the binary wire protocol
 // (wire.h, with per-connection text auto-detection so PR 2 clients keep
 // working), interns stream ids through the StreamTable and scatters

@@ -12,16 +12,20 @@
 //   * mid-stream checkpoint split-resume: save_state at an arbitrary cut,
 //     restore into a fresh bank, byte-compare the serialized monitor
 //     checkpoint line and the downstream decisions;
-//   * scatter/gather observe_lanes with uneven per-lane batch sizes;
+//   * scatter/gather observe_lanes with uneven per-lane batch sizes, and
+//     sparse batches on a 4096-lane bank (touched lanes only) interleaved
+//     with dense ones;
 //   * traced per-value runs whose JSONL event streams must match the scalar
 //     detector's byte for byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -311,6 +315,165 @@ TEST_P(BankDifferential, ScatterGatherObserveLanesMatchesScalar) {
       expect_state_eq(bank.save_state(lane), scalars[lane]->save_state(), context);
       expect_snapshot_eq(bank.snapshot(lane), scalars[lane]->snapshot(), context);
     }
+  }
+}
+
+/// One sparse-batch differential run: a bank far wider than any batch,
+/// fed small batches that touch a strict subset of lanes (hot lanes
+/// repeating), with wide-but-sparse and dense batches interleaved, against
+/// one scalar detector per lane.
+void run_sparse_batches(const char* family, bool portable) {
+  constexpr std::size_t kWideLanes = 4096;
+  constexpr std::size_t kHotLanes = 48;
+  core::DetectorBank bank(family);
+  bank.force_scalar(portable);
+  std::vector<std::unique_ptr<core::Detector>> scalars;
+  common::RngStream config_rng(kRootSeed, 0x5FA25E);
+  for (std::size_t lane = 0; lane < kWideLanes; ++lane) {
+    const core::DetectorConfig config = random_config(family, config_rng);
+    bank.add_lane(config);
+    scalars.push_back(core::make_detector(config));
+  }
+
+  common::RngStream rng(kRootSeed, 0x5FA25E + 1);
+  const auto pick = [&rng](std::size_t bound) {
+    return static_cast<std::uint32_t>(rng.uniform01() * static_cast<double>(bound));
+  };
+  const auto value = [&rng] {
+    return rng.uniform01() < 0.35 ? 10.0 + 30.0 * rng.uniform01() : 10.0 * rng.uniform01();
+  };
+  std::vector<std::uint32_t> hot(kHotLanes);
+  for (std::uint32_t& lane : hot) lane = pick(kWideLanes);
+
+  std::vector<std::vector<std::uint64_t>> bank_triggers(kWideLanes);
+  std::vector<std::vector<std::uint64_t>> scalar_triggers(kWideLanes);
+  std::vector<std::uint64_t> scalar_observations(kWideLanes, 0);
+  std::size_t sparse_triggers = 0;
+  std::vector<std::uint32_t> ids;
+  std::vector<double> values;
+  for (int batch = 0; batch < 160; ++batch) {
+    ids.clear();
+    const bool dense = batch % 40 == 39;
+    if (dense) {
+      // Every lane at least once, some up to three times, shuffled: the
+      // row kernel runs the shared rows and the surplus runs per lane.
+      for (std::uint32_t lane = 0; lane < kWideLanes; ++lane) {
+        const std::size_t copies = 1 + pick(3);
+        for (std::size_t k = 0; k < copies; ++k) ids.push_back(lane);
+      }
+      for (std::size_t i = ids.size() - 1; i > 0; --i) std::swap(ids[i], ids[pick(i + 1)]);
+    } else if (batch % 10 == 4) {
+      // Wide but not dense: a large share of the lanes, never the last
+      // 596, so the bank walks every lane in index order with no shared
+      // rows.
+      const std::size_t size = 1000 + pick(2001);
+      for (std::size_t i = 0; i < size; ++i) ids.push_back(pick(3500));
+    } else {
+      const std::size_t size = 16 + pick(497);
+      for (std::size_t i = 0; i < size; ++i) {
+        ids.push_back(rng.uniform01() < 0.6 ? hot[pick(kHotLanes)] : pick(kWideLanes));
+      }
+    }
+    values.clear();
+    for (std::size_t i = 0; i < ids.size(); ++i) values.push_back(value());
+
+    bank.observe_lanes(ids, values);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const std::uint32_t lane = ids[i];
+      ++scalar_observations[lane];
+      if (scalars[lane]->observe(values[i]) == core::Decision::kRejuvenate) {
+        scalar_triggers[lane].push_back(scalar_observations[lane]);
+      }
+    }
+
+    const std::string context = std::string(family) + (portable ? " portable" : " simd") +
+                                " batch " + std::to_string(batch);
+    std::vector<std::uint32_t> first_seen;
+    std::vector<char> seen(kWideLanes, 0);
+    for (const std::uint32_t lane : ids) {
+      if (seen[lane] == 0) first_seen.push_back(lane);
+      seen[lane] = 1;
+    }
+    const std::span<const std::uint32_t> touched = bank.touched_lanes();
+    EXPECT_EQ(std::vector<std::uint32_t>(touched.begin(), touched.end()), first_seen) << context;
+    if (!dense) {
+      ASSERT_LT(first_seen.size(), kWideLanes) << context;
+    }
+
+    // Monotone per lane always; grouped by lane for sparse batches.
+    std::vector<char> closed(kWideLanes, 0);
+    std::size_t previous = kWideLanes;
+    for (const core::BankTrigger& trigger : bank.triggers()) {
+      std::vector<std::uint64_t>& lane_triggers = bank_triggers[trigger.lane];
+      if (!lane_triggers.empty()) {
+        EXPECT_LT(lane_triggers.back(), trigger.observation) << context;
+      }
+      lane_triggers.push_back(trigger.observation);
+      if (!dense && trigger.lane != previous) {
+        EXPECT_EQ(closed[trigger.lane], 0) << context << " lane " << trigger.lane;
+        if (previous < kWideLanes) closed[previous] = 1;
+        previous = trigger.lane;
+      }
+    }
+    if (!dense) sparse_triggers += bank.triggers().size();
+    bank.clear_triggers();
+    ASSERT_FALSE(::testing::Test::HasFailure()) << context;
+  }
+  EXPECT_GT(sparse_triggers, 0u) << "sparse batches should exercise the trigger path";
+
+  bank.observe_lanes({}, {});
+  EXPECT_TRUE(bank.touched_lanes().empty());
+  for (std::size_t lane = 0; lane < kWideLanes; ++lane) {
+    const std::string context = std::string(family) + (portable ? " portable" : " simd") +
+                                " lane " + std::to_string(lane) + " spec " +
+                                scalars[lane]->name();
+    EXPECT_EQ(bank.observations(lane), scalar_observations[lane]) << context;
+    EXPECT_EQ(bank_triggers[lane], scalar_triggers[lane]) << context;
+    expect_state_eq(bank.save_state(lane), scalars[lane]->save_state(), context);
+    expect_snapshot_eq(bank.snapshot(lane), scalars[lane]->snapshot(), context);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST_P(BankDifferential, SparseBatchesOnAWideBankMatchScalar) {
+  // The open-loop fleet shape: a few hundred values per batch on a bank of
+  // thousands of lanes, so most lanes sit out most batches.
+  run_sparse_batches(GetParam(), /*portable=*/false);
+  run_sparse_batches(GetParam(), /*portable=*/true);
+}
+
+TEST(BankControllerTouched, FirstAppearanceOrderOnBothPaths) {
+  // The fleet's per-batch follow-up (actions, checkpoints) walks
+  // touched_lanes(); it must list each batch's distinct lanes in first-
+  // appearance order whether the batch took the lockstep bank path
+  // (cooldown 0) or the per-value path (lanes in cooldown).
+  common::RngStream rng(kRootSeed, 0x70C4ED);
+  for (const std::uint64_t cooldown : {std::uint64_t{0}, std::uint64_t{3}}) {
+    core::BankController controller("SRAA", cooldown);
+    core::DetectorConfig config{"SRAA"};
+    config.set("n", 1).set("K", 1).set("D", 1);
+    for (int lane = 0; lane < 64; ++lane) controller.add_lane(config);
+    std::size_t triggers = 0;
+    for (int batch = 0; batch < 50; ++batch) {
+      std::vector<std::uint32_t> ids;
+      std::vector<double> values;
+      const auto size = 1 + static_cast<std::size_t>(rng.uniform01() * 40.0);
+      for (std::size_t i = 0; i < size; ++i) {
+        ids.push_back(static_cast<std::uint32_t>(rng.uniform01() * 24.0));
+        values.push_back(rng.uniform01() < 0.5 ? 30.0 : 1.0);
+      }
+      triggers += controller.observe_lanes(ids, values);
+      std::vector<std::uint32_t> first_seen;
+      for (const std::uint32_t lane : ids) {
+        if (std::find(first_seen.begin(), first_seen.end(), lane) == first_seen.end()) {
+          first_seen.push_back(lane);
+        }
+      }
+      const std::span<const std::uint32_t> touched = controller.touched_lanes();
+      EXPECT_EQ(std::vector<std::uint32_t>(touched.begin(), touched.end()), first_seen)
+          << "cooldown " << cooldown << " batch " << batch;
+    }
+    EXPECT_GT(triggers, 0u) << "cooldown " << cooldown;
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -107,16 +108,21 @@ TEST(BucketCascade, RejectsDegenerateParameters) {
   EXPECT_THROW(BucketCascade(1, 0), std::invalid_argument);
 }
 
+// gtest names each case by the raw bytes of its parameter, so the struct must
+// have no padding: padding bytes are uninitialised and would make the case
+// names change from build to build. A 64-bit depth fills the slot that padding
+// after an `int` would take, and keeps the byte layout of the names as before.
 struct CascadeParams {
-  int depth;
+  std::int64_t depth;
   std::size_t buckets;
 };
+static_assert(sizeof(CascadeParams) == sizeof(std::int64_t) + sizeof(std::size_t));
 
 class CascadeInvariants : public ::testing::TestWithParam<CascadeParams> {};
 
 TEST_P(CascadeInvariants, StateStaysInRangeUnderRandomInput) {
   const auto [depth, buckets] = GetParam();
-  BucketCascade cascade(depth, buckets);
+  BucketCascade cascade(static_cast<int>(depth), buckets);
   common::RngStream rng(17, buckets);
   for (int i = 0; i < 20000; ++i) {
     cascade.update(rng.uniform01() < 0.55);

@@ -454,6 +454,88 @@ TEST(FleetTest, KillAndResumeIsBitExactAtTenThousandStreams) {
   remove_journals(journal_b);
 }
 
+TEST(FleetTest, ActionsFollowFirstAppearanceThenPerStreamOrder) {
+  // One inline batch in which several streams fire. The actions come out
+  // stream by stream in order of first appearance in the batch, each
+  // stream's triggers ascending — neither dense-id order nor the order the
+  // triggers happened in. A first run interns the streams in dense order
+  // 100, 200, 300, 400, 500; a second restores them and gets the batch.
+  constexpr double kLow = 1.0;
+  constexpr double kSlow = 60.0;
+  const std::vector<std::uint32_t> ids = {100, 200, 300, 400, 500};
+  std::vector<wire::Record> intern;
+  for (const std::uint32_t id : ids) intern.push_back({id, kLow});
+  std::vector<wire::Record> batch = {{400, kLow}, {200, kSlow}};
+  for (const std::uint32_t id : {500u, 100u, 200u}) {
+    for (int k = 0; k < 10; ++k) batch.push_back({id, kSlow});
+  }
+  for (int k = 0; k < 20; ++k) batch.push_back({400, kSlow});
+
+  for (const std::uint64_t cooldown : {std::uint64_t{0}, std::uint64_t{2}}) {
+    const std::string journal = temp_journal("action_order_" + std::to_string(cooldown));
+    remove_journals(journal);
+    FleetConfig config;
+    config.detector = fast_sraa();
+    config.cooldown_observations = cooldown;
+    config.listen = false;
+    config.inline_processing = true;
+    config.logical_time = true;
+    config.checkpoint_path = journal;
+
+    const auto run_over = [&](const std::vector<wire::Record>& records,
+                              std::vector<FleetAction>* actions) {
+      std::thread writer;
+      FleetConfig run_config = config;
+      run_config.input_fds = {pipe_feeding(encode_records(records), writer)};
+      writer.join();  // the whole input sits in the pipe: one read, one batch
+      FleetMonitor fleet(run_config);
+      if (actions != nullptr) {
+        fleet.set_action_callback([actions](const FleetAction& a) { actions->push_back(a); });
+      }
+      return fleet.run();
+    };
+    run_over(intern, nullptr);
+    std::vector<FleetAction> actions;
+    const FleetStats stats = run_over(batch, &actions);
+    EXPECT_EQ(stats.restored_streams, ids.size());
+    EXPECT_EQ(stats.processed, batch.size());
+
+    // Twin: one lane per stream (dense order), fed the same values.
+    core::BankController twin(config.detector.family(), cooldown);
+    for (std::size_t lane = 0; lane < ids.size(); ++lane) twin.add_lane(config.detector);
+    const auto lane_of = [&ids](std::uint32_t id) {
+      return static_cast<std::size_t>(std::find(ids.begin(), ids.end(), id) - ids.begin());
+    };
+    for (const wire::Record& record : intern) {
+      ASSERT_FALSE(twin.observe(lane_of(record.stream_id), record.value));
+    }
+    std::vector<std::uint32_t> fired_in_time;
+    for (const wire::Record& record : batch) {
+      if (twin.observe(lane_of(record.stream_id), record.value)) {
+        fired_in_time.push_back(record.stream_id);
+      }
+    }
+    ASSERT_EQ(fired_in_time, (std::vector<std::uint32_t>{500, 100, 200, 400, 400}))
+        << "cooldown " << cooldown << ": the batch should fire in this order";
+
+    std::vector<FleetAction> want;
+    for (const std::uint32_t id : {400u, 200u, 500u, 100u}) {
+      const std::size_t lane = lane_of(id);
+      for (const std::uint64_t observation : twin.trigger_indices(lane)) {
+        want.push_back({id, static_cast<std::uint32_t>(lane), observation});
+      }
+    }
+    ASSERT_EQ(actions.size(), want.size()) << "cooldown " << cooldown;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(actions[i].stream_id, want[i].stream_id) << "cooldown " << cooldown << " #" << i;
+      EXPECT_EQ(actions[i].dense_id, want[i].dense_id) << "cooldown " << cooldown << " #" << i;
+      EXPECT_EQ(actions[i].observation, want[i].observation)
+          << "cooldown " << cooldown << " #" << i;
+    }
+    remove_journals(journal);
+  }
+}
+
 TEST(FleetTest, JournalCompactionBoundsGrowthAndRestoresExactly) {
   constexpr std::uint32_t kStreams = 100;
   constexpr std::uint64_t kRounds = 200;
