@@ -815,6 +815,47 @@ void register_ingestion_suite(Registry& registry) {
     do_not_optimize(sum);
   });
 
+  // Stream admission: a fresh one-shard table interning 100k distinct ids
+  // in batches of kAdmitBatch, each batch growing its lanes (ensure_lanes)
+  // and feeding one observation per new stream (observe_lanes), as the fleet
+  // engine does on first sight. One operation = one stream admitted; every
+  // 100k streams the table starts over, so repetitions average whole
+  // growth cycles of the intern map and the bank's lane arrays.
+  static constexpr std::uint32_t kAdmitStreams = 100000;
+  static constexpr std::uint32_t kAdmitBatch = 4681;
+  struct AdmitFixture {
+    core::DetectorConfig config = core::parse_spec("SRAA(n=2,K=5,D=3)");
+    std::unique_ptr<monitor::StreamTable> table;
+    std::vector<std::uint32_t> lanes;
+    std::vector<double> values;
+  };
+  const auto admit = std::make_shared<AdmitFixture>();
+  registry.add("ingestion", "ingestion.stream_table.admit_100k", [admit, data](std::uint64_t n) {
+    std::uint64_t done = 0;
+    while (done < n) {
+      if (admit->table == nullptr || admit->table->size() == kAdmitStreams) {
+        admit->table.reset();  // free the full table before building the next
+        admit->table = std::make_unique<monitor::StreamTable>(admit->config, 1, kAdmitStreams, 0);
+      }
+      monitor::StreamTable& table = *admit->table;
+      const std::uint64_t room = std::min<std::uint64_t>(kAdmitStreams - table.size(), n - done);
+      const auto batch = static_cast<std::size_t>(std::min<std::uint64_t>(kAdmitBatch, room));
+      admit->lanes.clear();
+      admit->values.clear();
+      bool created = false;
+      for (std::size_t i = 0; i < batch; ++i) {
+        const auto id = static_cast<std::uint32_t>(table.size()) * 2654435761u + 3;
+        const std::uint32_t dense = table.acquire(id, created);
+        admit->lanes.push_back(table.lane_of(dense));
+        admit->values.push_back((*data)[dense & kDataMask]);
+      }
+      table.ensure_lanes(0, table.size());
+      table.controller(0).observe_lanes(admit->lanes, admit->values);
+      done += batch;
+    }
+    do_not_optimize(admit->table->size());
+  });
+
   // End-to-end engine benchmarks. One operation = one observation through
   // decode -> stream table -> SPSC queue -> bank lane. ops_per_second is
   // the aggregate msgs/s the acceptance criterion quotes.

@@ -85,7 +85,7 @@ void DetectorBank::check_lane(std::size_t lane) const {
   REJUV_EXPECT(lane < lanes(), "bank lane index out of range");
 }
 
-std::size_t DetectorBank::add_lane(const DetectorConfig& config) {
+void DetectorBank::add_lanes(const DetectorConfig& config, std::size_t count) {
   REJUV_EXPECT(config.family() == family_name_,
                "bank holds " + family_name_ + " lanes; config is " + config.family());
   validate_config(config);
@@ -113,69 +113,86 @@ std::size_t DetectorBank::add_lane(const DetectorConfig& config) {
       break;
   }
   std::uint64_t shift_window = 0;
-  if (family_ == Family::kAdaptive) shift_window = config.get_count("w");
+  double shift_t = 0.0;
+  std::uint64_t history = 0;
+  if (family_ == Family::kAdaptive) {
+    shift_window = config.get_count("w");
+    shift_t = config.get("t");
+    history = config.get_count("h");
+  }
   // The window/cascade state lives in doubles; every reachable value is an
   // exact integer as long as the configured counts are.
   REJUV_EXPECT(n < (1ull << 53) && buckets < (1ull << 53) && shift_window < (1ull << 53),
                "bank parameters exceed 2^53");
 
-  mu_.push_back(config.baseline.mean);
-  sigma_.push_back(config.baseline.stddev);
-  norig_.push_back(n);
-  buckets_u_.push_back(buckets);
-  depth_i_.push_back(depth);
-  zq_.push_back(z);
-  cur_n_.push_back(n);
-
-  sum_.push_back(0.0);
-  count_.push_back(0.0);
-  wcur_.push_back(static_cast<double>(n));
-  wnext_.push_back(static_cast<double>(n));
-  fill_.push_back(0.0);
-  bucket_.push_back(0.0);
-  depth_.push_back(static_cast<double>(depth));
-  buckets_.push_back(static_cast<double>(buckets));
-  last_avg_.push_back(0.0);
-  observations_.push_back(0);
-
-  if (family_ == Family::kAdaptive) {
-    cfg_mu_.push_back(config.baseline.mean);
-    cfg_sigma_.push_back(config.baseline.stddev);
-    shift_w_.push_back(static_cast<double>(shift_window));
-    shift_t_.push_back(config.get("t"));
-    shift_h_.push_back(config.get_count("h"));
-    shift_count_.push_back(0.0);
-    shift_sum_.push_back(0.0);
-    shift_sumsq_.push_back(0.0);
-    shift_means_.emplace_back();
-    shift_vars_.emplace_back();
-    shift_means_.back().reserve(shift_h_.back());
-    shift_vars_.back().reserve(shift_h_.back());
-    recalibrations_.push_back(0);
-  }
-
   const Baseline baseline = config.baseline;
+  double target = 0.0;
   switch (family_) {
     case Family::kStatic:
     case Family::kSraa:
     case Family::kAdaptive:
-      target_.push_back(baseline.bucket_target(0));
+      target = baseline.bucket_target(0);
       break;
     case Family::kSaraa:
-      target_.push_back(baseline.scaled_target(0.0, static_cast<std::size_t>(n)));
+      target = baseline.scaled_target(0.0, static_cast<std::size_t>(n));
       break;
     case Family::kClta:
-      target_.push_back(baseline.scaled_target(z, static_cast<std::size_t>(n)));
+      target = baseline.scaled_target(z, static_cast<std::size_t>(n));
       break;
   }
 
-  const std::size_t lane_count = lanes();
+  // Everything above may throw; nothing below does short of allocation
+  // failure. target_ defines lanes(), so it grows last.
+  const std::size_t first = lanes();
+  const std::size_t lane_count = first + count;
+  mu_.resize(lane_count, baseline.mean);
+  sigma_.resize(lane_count, baseline.stddev);
+  norig_.resize(lane_count, n);
+  buckets_u_.resize(lane_count, buckets);
+  depth_i_.resize(lane_count, depth);
+  zq_.resize(lane_count, z);
+  cur_n_.resize(lane_count, n);
+
+  sum_.resize(lane_count, 0.0);
+  count_.resize(lane_count, 0.0);
+  wcur_.resize(lane_count, static_cast<double>(n));
+  wnext_.resize(lane_count, static_cast<double>(n));
+  fill_.resize(lane_count, 0.0);
+  bucket_.resize(lane_count, 0.0);
+  depth_.resize(lane_count, static_cast<double>(depth));
+  buckets_.resize(lane_count, static_cast<double>(buckets));
+  last_avg_.resize(lane_count, 0.0);
+  observations_.resize(lane_count, 0);
+
+  if (family_ == Family::kAdaptive) {
+    cfg_mu_.resize(lane_count, baseline.mean);
+    cfg_sigma_.resize(lane_count, baseline.stddev);
+    shift_w_.resize(lane_count, static_cast<double>(shift_window));
+    shift_t_.resize(lane_count, shift_t);
+    shift_h_.resize(lane_count, history);
+    shift_count_.resize(lane_count, 0.0);
+    shift_sum_.resize(lane_count, 0.0);
+    shift_sumsq_.resize(lane_count, 0.0);
+    shift_means_.resize(lane_count);
+    shift_vars_.resize(lane_count);
+    for (std::size_t lane = first; lane < lane_count; ++lane) {
+      shift_means_[lane].reserve(history);
+      shift_vars_[lane].reserve(history);
+    }
+    recalibrations_.resize(lane_count, 0);
+  }
+
   changed_flags_.resize(lane_count, 0);
   trig_flags_.resize(lane_count, 0);
   lane_fill_.resize(lane_count, 0);
   lane_offset_.resize(lane_count, 0);
   row_buf_.resize(lane_count, 0.0);
-  return lane_count - 1;
+  target_.resize(lane_count, target);
+}
+
+std::size_t DetectorBank::add_lane(const DetectorConfig& config) {
+  add_lanes(config, 1);
+  return lanes() - 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -952,13 +969,18 @@ void DetectorBank::reset(std::size_t lane) {
 BankController::BankController(std::string_view family, std::uint64_t cooldown_observations)
     : bank_(family), cooldown_observations_(cooldown_observations) {}
 
+void BankController::add_lanes(const DetectorConfig& config, std::size_t count) {
+  bank_.add_lanes(config, count);
+  const std::size_t lane_count = bank_.lanes();
+  cooldown_remaining_.resize(lane_count, 0);
+  obs_offset_.resize(lane_count, 0);
+  trigger_indices_.resize(lane_count);
+  tracers_.resize(lane_count, nullptr);
+}
+
 std::size_t BankController::add_lane(const DetectorConfig& config) {
-  const std::size_t lane = bank_.add_lane(config);
-  cooldown_remaining_.push_back(0);
-  obs_offset_.push_back(0);
-  trigger_indices_.emplace_back();
-  tracers_.push_back(nullptr);
-  return lane;
+  add_lanes(config, 1);
+  return lanes() - 1;
 }
 
 void BankController::set_tracer(std::size_t lane, obs::Tracer* tracer) {

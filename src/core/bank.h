@@ -75,9 +75,17 @@ class DetectorBank {
   /// with GCC/Clang).
   static bool simd_compiled() noexcept;
 
-  /// Appends one detector instance configured by `config` (validated like
-  /// make_detector; the family must match the bank's). Lanes of one bank
-  /// may differ in parameters and baseline. Returns the new lane index.
+  /// Appends `count` detector instances configured by `config`, as lanes
+  /// lanes() .. lanes() + count - 1. The config is validated once per call,
+  /// like make_detector (the family must match the bank's, the baseline and
+  /// parameters must be valid, and counts must stay below 2^53), and its
+  /// parameters are resolved once; each new lane then costs a few stores.
+  /// Every check runs before anything grows, so a throw
+  /// (std::invalid_argument) leaves lanes() unchanged. `count` = 0 only
+  /// validates. Lanes of one bank may differ in parameters and baseline:
+  /// call once per config.
+  void add_lanes(const DetectorConfig& config, std::size_t count);
+  /// add_lanes(config, 1); returns the new lane index.
   std::size_t add_lane(const DetectorConfig& config);
 
   std::size_t lanes() const noexcept { return target_.size(); }
@@ -232,7 +240,10 @@ class BankController {
   /// after a trigger during which the lane's detector is not fed.
   BankController(std::string_view family, std::uint64_t cooldown_observations);
 
-  /// Adds a lane (see DetectorBank::add_lane) with no tracer attached.
+  /// Adds `count` lanes (see DetectorBank::add_lanes) with no tracer
+  /// attached; a throw leaves lanes() unchanged.
+  void add_lanes(const DetectorConfig& config, std::size_t count);
+  /// add_lanes(config, 1); returns the new lane index.
   std::size_t add_lane(const DetectorConfig& config);
 
   std::size_t lanes() const noexcept { return bank_.lanes(); }

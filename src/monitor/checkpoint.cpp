@@ -332,14 +332,17 @@ void CheckpointWriter::compact_locked() {
   std::FILE* tmp = std::fopen(tmp_path.c_str(), "w");
   if (tmp == nullptr) return;  // can't compact now; append path still works
   std::uint64_t live_bytes = 0;
+  bool written = true;
   for (const ShardCheckpoint& record : live) {
     const std::string line = to_json(record) + "\n";
-    std::fwrite(line.data(), 1, line.size(), tmp);
+    written = written && std::fwrite(line.data(), 1, line.size(), tmp) == line.size();
     live_bytes += line.size();
   }
-  std::fflush(tmp);
-  std::fclose(tmp);
-  if (std::rename(tmp_path.c_str(), path_.c_str()) != 0) {
+  written = std::fflush(tmp) == 0 && written;
+  written = std::fclose(tmp) == 0 && written;
+  // A short write must never replace the journal: drop the temp file and
+  // keep appending to the old journal (the next append retries).
+  if (!written || std::rename(tmp_path.c_str(), path_.c_str()) != 0) {
     std::remove(tmp_path.c_str());
     return;
   }

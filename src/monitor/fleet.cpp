@@ -327,6 +327,17 @@ std::size_t FleetMonitor::restore_from_journal() {
   for (std::size_t i = 0; i < records.size(); ++i) {
     if (records[i].shard != i || !records[i].stream_id || records[i].spec != spec_) return 0;
   }
+  // Dense ids 0..N-1 land round-robin, so shard s holds ceil((N - s) / S)
+  // of them: grow each shard once, then the loop below only restores state.
+  const std::size_t streams = std::min(records.size(), table_.max_streams());
+  for (std::size_t s = 0; s < workers_.size() && s < streams; ++s) {
+    const std::size_t lane_count = (streams - s + workers_.size() - 1) / workers_.size();
+    table_.ensure_lanes(s, lane_count);
+    WorkerShard& shard = *workers_[s];
+    if (trace_sink_ != nullptr) attach_lane_tracers(shard, lane_count);
+    shard.seen_triggers.resize(lane_count, 0);
+    shard.last_checkpoint.resize(lane_count, 0);
+  }
   for (std::size_t i = 0; i < records.size(); ++i) {
     const ShardCheckpoint& record = records[i];
     bool created = false;
@@ -336,15 +347,8 @@ std::size_t FleetMonitor::restore_from_journal() {
                      " twice (or the table is smaller than the journal)");
     const std::uint32_t shard_index = table_.shard_of(dense);
     const std::uint32_t lane = table_.lane_of(dense);
-    table_.ensure_lanes(shard_index, lane + 1);
     WorkerShard& shard = *workers_[shard_index];
-    if (trace_sink_ != nullptr) attach_lane_tracers(shard, lane + 1);
-    core::BankController& ctrl = table_.controller(shard_index);
-    ctrl.restore_state(lane, record.controller);
-    if (shard.seen_triggers.size() <= lane) {
-      shard.seen_triggers.resize(lane + 1, 0);
-      shard.last_checkpoint.resize(lane + 1, 0);
-    }
+    table_.controller(shard_index).restore_state(lane, record.controller);
     shard.seen_triggers[lane] = record.controller.trigger_indices.size();
     shard.last_checkpoint[lane] = record.controller.observations;
     ingest_tracer_.checkpoint_restored(dense, record.controller.observations);

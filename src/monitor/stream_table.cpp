@@ -99,7 +99,7 @@ std::uint64_t StreamTable::received(std::uint32_t dense) const { return slot(den
 
 void StreamTable::ensure_lanes(std::size_t shard, std::size_t lane_count) {
   core::BankController& ctrl = *controllers_[shard];
-  while (ctrl.lanes() < lane_count) ctrl.add_lane(config_);
+  if (ctrl.lanes() < lane_count) ctrl.add_lanes(config_, lane_count - ctrl.lanes());
 }
 
 }  // namespace rejuv::monitor

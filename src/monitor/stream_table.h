@@ -86,8 +86,8 @@ class StreamTable {
   const core::BankController& controller(std::size_t shard) const { return *controllers_[shard]; }
 
   /// Grows shard `shard`'s controller to at least `lane_count` lanes (all
-  /// lanes share config()). Called by the owning worker before observing a
-  /// batch that references new lanes.
+  /// lanes share config()) in one BankController::add_lanes call. Called by
+  /// the owning worker before observing a batch that references new lanes.
   void ensure_lanes(std::size_t shard, std::size_t lane_count);
 
  private:

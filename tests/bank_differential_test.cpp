@@ -16,7 +16,9 @@
 //     sparse batches on a 4096-lane bank (touched lanes only) interleaved
 //     with dense ones;
 //   * traced per-value runs whose JSONL event streams must match the scalar
-//     detector's byte for byte.
+//     detector's byte for byte;
+//   * bulk admission: a controller grown by add_lanes in mixed chunks must
+//     equal its one-lane-at-a-time twin and the scalar controllers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -567,6 +569,113 @@ TEST_P(BankDifferential, TracedEventStreamMatchesScalarByteForByte) {
       }
       EXPECT_EQ(bank_trace.str(), scalar_trace.str())
           << c.family << " spec " << scalar->name();
+    }
+  }
+}
+
+void expect_controller_state_eq(const core::ControllerState& a, const core::ControllerState& b,
+                                const std::string& context) {
+  EXPECT_EQ(a.observations, b.observations) << context;
+  EXPECT_EQ(a.cooldown_remaining, b.cooldown_remaining) << context;
+  EXPECT_EQ(a.trigger_indices, b.trigger_indices) << context;
+  expect_state_eq(a.detector, b.detector, context);
+}
+
+TEST_P(BankDifferential, BulkAdmissionMatchesOneLaneAtATime) {
+  // add_lanes validates a config once and grows every per-lane array in one
+  // step. A controller admitted in mixed chunks must be indistinguishable
+  // from its twin admitted one add_lane at a time, and both from one scalar
+  // controller per lane, under interleaved sparse and dense batches.
+  common::RngStream config_rng(kRootSeed, 0xADD);
+  const core::DetectorConfig a = random_config(GetParam(), config_rng);
+  const core::DetectorConfig b = random_config(GetParam(), config_rng);
+  const std::pair<const core::DetectorConfig*, std::size_t> chunks[] = {
+      {&a, 3}, {&b, 1}, {&a, 1000}, {&b, 0}};
+  constexpr std::size_t kLanes = 1004;
+
+  for (const std::uint64_t cooldown : {std::uint64_t{0}, std::uint64_t{4}}) {
+    for (const bool portable : {false, true}) {
+      const std::string run = std::string(GetParam()) + (portable ? " portable" : " simd") +
+                              " cooldown " + std::to_string(cooldown);
+      core::BankController bulk(GetParam(), cooldown);
+      core::BankController twin(GetParam(), cooldown);
+      bulk.bank().force_scalar(portable);
+      twin.bank().force_scalar(portable);
+      std::vector<core::RejuvenationController> scalars;
+      scalars.reserve(kLanes);
+      for (const auto& [config, count] : chunks) {
+        bulk.add_lanes(*config, count);
+        for (std::size_t i = 0; i < count; ++i) {
+          twin.add_lane(*config);
+          scalars.emplace_back(core::make_detector(*config), cooldown);
+        }
+      }
+      ASSERT_EQ(bulk.lanes(), kLanes) << run;
+      ASSERT_EQ(twin.lanes(), kLanes) << run;
+
+      common::RngStream rng(kRootSeed, 0xADD0 + cooldown * 2 + (portable ? 1 : 0));
+      const auto pick = [&rng](std::size_t bound) {
+        return static_cast<std::uint32_t>(rng.uniform01() * static_cast<double>(bound)) %
+               static_cast<std::uint32_t>(bound);
+      };
+      std::vector<std::uint32_t> ids;
+      std::vector<double> values;
+      std::size_t triggers = 0;
+      for (int batch = 0; batch < 60; ++batch) {
+        ids.clear();
+        values.clear();
+        if (batch % 5 == 4) {
+          // Dense: every lane, 1-3 rows, then a ragged extra.
+          const std::uint32_t rows = 1 + pick(3);
+          for (std::uint32_t r = 0; r < rows; ++r) {
+            for (std::uint32_t lane = 0; lane < kLanes; ++lane) ids.push_back(lane);
+          }
+          for (std::size_t i = 0; i < 50; ++i) ids.push_back(pick(kLanes));
+        } else {
+          // Sparse: the first lanes of each chunk run hot, the rest sit out.
+          const std::size_t size = 16 + pick(200);
+          for (std::size_t i = 0; i < size; ++i) {
+            ids.push_back(rng.uniform01() < 0.6 ? pick(8) : pick(kLanes));
+          }
+        }
+        // A slow aging ramp (Adaptive recalibrates on a step, but not on a
+        // trend) under uniform noise.
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+          values.push_back(10.0 * rng.uniform01() + 0.75 * static_cast<double>(batch));
+        }
+        const std::size_t bulk_triggers = bulk.observe_lanes(ids, values);
+        EXPECT_EQ(bulk_triggers, twin.observe_lanes(ids, values)) << run << " batch " << batch;
+        triggers += bulk_triggers;
+        for (std::size_t i = 0; i < ids.size(); ++i) scalars[ids[i]].observe(values[i]);
+        const std::span<const std::uint32_t> bulk_touched = bulk.touched_lanes();
+        const std::span<const std::uint32_t> twin_touched = twin.touched_lanes();
+        EXPECT_TRUE(std::equal(bulk_touched.begin(), bulk_touched.end(), twin_touched.begin(),
+                               twin_touched.end()))
+            << run << " batch " << batch;
+      }
+      EXPECT_GT(triggers, 0u) << run;
+
+      for (std::size_t lane = 0; lane < kLanes; ++lane) {
+        const std::string context = run + " lane " + std::to_string(lane);
+        EXPECT_EQ(bulk.bank().name(lane), scalars[lane].detector().name()) << context;
+        EXPECT_EQ(bulk.bank().name(lane), twin.bank().name(lane)) << context;
+        expect_snapshot_eq(bulk.detector_snapshot(lane), scalars[lane].detector_snapshot(),
+                           context);
+        expect_snapshot_eq(bulk.detector_snapshot(lane), twin.detector_snapshot(lane), context);
+        expect_controller_state_eq(bulk.save_state(lane), scalars[lane].save_state(), context);
+        expect_controller_state_eq(bulk.save_state(lane), twin.save_state(lane), context);
+        if (::testing::Test::HasFailure()) return;
+      }
+
+      // A config the bank cannot hold is refused before anything grows.
+      core::DetectorConfig foreign{std::string_view(GetParam()) == "SRAA" ? "CLTA" : "SRAA"};
+      EXPECT_THROW(bulk.add_lanes(foreign, 5), std::invalid_argument) << run;
+      EXPECT_THROW(bulk.bank().add_lanes(foreign, 5), std::invalid_argument) << run;
+      core::DetectorConfig invalid = a;
+      invalid.baseline.stddev = -1.0;
+      EXPECT_THROW(bulk.add_lanes(invalid, 5), std::invalid_argument) << run;
+      EXPECT_EQ(bulk.lanes(), kLanes) << run;
+      EXPECT_EQ(bulk.bank().lanes(), kLanes) << run;
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "common/rng.h"
@@ -19,6 +20,13 @@
 #include "sim/variates.h"
 
 namespace rejuv::core {
+
+// gtest prints a value parameter through a PrintTo found by argument-dependent
+// lookup, and the case names carry that text. Without this overload a
+// DetectorConfig printed as its raw bytes, heap pointers included, so the
+// DetectionLatency and BurstTolerance case names changed from run to run.
+void PrintTo(const DetectorConfig& config, std::ostream* os) { *os << describe(config); }
+
 namespace {
 
 const Baseline kPaperBaseline{5.0, 5.0};

@@ -13,6 +13,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -783,6 +784,71 @@ TEST(MonitorResume, BankControllerJournalResumesInTheScalarMonitor) {
   want.controller = scalar.save_state();
   EXPECT_EQ(monitor::to_json(records[0]), monitor::to_json(want))
       << "resumed end state must equal one uninterrupted scalar run bit for bit";
+  std::remove(journal.c_str());
+}
+
+TEST(JournalCompaction, AFailedRewriteKeepsTheJournal) {
+  // Compaction writes the live records to a temp file and renames it over
+  // the journal. Here the temp path is a symlink to /dev/full, so every
+  // flush fails with ENOSPC: the short temp file must never become the
+  // journal, and the records written so far must all stay readable.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full on this host";
+  const std::string journal = ::testing::TempDir() + "/faults_compact_short_write.jsonl";
+  const std::string tmp = journal + ".compact.tmp";
+  std::remove(journal.c_str());
+  std::remove(tmp.c_str());
+  std::filesystem::create_symlink("/dev/full", tmp);
+
+  constexpr std::uint32_t kStreams = 8;
+  constexpr std::uint64_t kThreshold = 4096;
+  const core::DetectorConfig detector = core::parse_spec("SRAA(n=2,K=2,D=2,mu=0.5,sigma=0.5)");
+  const std::vector<double> series =
+      harness::simulate_mmc_response_times(1.8, 1.0, 2, 2'000, 20060625, 0);
+  std::vector<core::RejuvenationController> controllers;
+  for (std::uint32_t s = 0; s < kStreams; ++s) {
+    controllers.emplace_back(core::make_detector(detector), 0);
+  }
+  std::vector<std::string> live(kStreams);
+  monitor::CheckpointWriter writer(journal, kThreshold);
+  const auto append = [&](std::uint32_t stream, std::size_t at) {
+    controllers[stream].observe(series[at % series.size()]);
+    monitor::ShardCheckpoint record;
+    record.spec = core::describe(detector);
+    record.shard = stream;
+    record.shard_count = kStreams;
+    record.controller = controllers[stream].save_state();
+    live[stream] = monitor::to_json(record);
+    writer.append(record);
+    return live[stream].size() + 1;
+  };
+  const auto expect_live_journal = [&](const char* when) {
+    EXPECT_TRUE(std::filesystem::is_regular_file(std::filesystem::symlink_status(journal)))
+        << when;
+    const std::vector<monitor::ShardCheckpoint> records = monitor::read_latest_checkpoints(journal);
+    ASSERT_EQ(records.size(), kStreams) << when;
+    for (std::uint32_t s = 0; s < kStreams; ++s) {
+      EXPECT_EQ(monitor::to_json(records[s]), live[s]) << when << " stream " << s;
+    }
+  };
+
+  // Append until the journal crosses the threshold: that append compacts.
+  std::uint64_t bytes = 0;
+  std::size_t at = 0;
+  while (bytes < kThreshold) {
+    bytes += append(static_cast<std::uint32_t>(at % kStreams), at);
+    ++at;
+  }
+  ASSERT_GE(at, std::size_t{kStreams}) << "every stream needs a record before compacting";
+  EXPECT_EQ(writer.compactions(), 0u);
+  EXPECT_FALSE(std::filesystem::exists(std::filesystem::symlink_status(tmp)))
+      << "the failed temp file must be removed";
+  expect_live_journal("after the failed compaction");
+
+  // The journal is still due, so the next append retries, and now succeeds.
+  append(0, at);
+  EXPECT_EQ(writer.compactions(), 1u);
+  expect_live_journal("after the retried compaction");
+  EXPECT_LT(std::filesystem::file_size(journal), bytes);
   std::remove(journal.c_str());
 }
 

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -149,20 +150,24 @@ std::vector<double> mixed_stream(std::size_t length, std::uint64_t seed) {
 
 const Baseline kBaseline{5.0, 5.0};
 
+// gtest names each case by the raw bytes of its parameter, so the struct has
+// no padding (an `int` depth left four uninitialised bytes that changed the
+// case names from build to build); the 64-bit depth prints as before.
 struct FidelityCase {
   std::size_t n;
   std::size_t k;
-  int d;
+  std::int64_t d;
 };
+static_assert(sizeof(FidelityCase) == 2 * sizeof(std::size_t) + sizeof(std::int64_t));
 
 class SraaFidelity : public ::testing::TestWithParam<FidelityCase> {};
 
 TEST_P(SraaFidelity, MatchesFig6Transcription) {
   const auto [n, k, d] = GetParam();
   const auto stream = mixed_stream(30000, 17 + n + k);
-  Sraa detector({n, k, d}, kBaseline);
+  Sraa detector({n, k, static_cast<int>(d)}, kBaseline);
   EXPECT_EQ(run_detector(detector, stream),
-            fig6_sraa(d, k, n, kBaseline.mean, kBaseline.stddev, stream));
+            fig6_sraa(static_cast<int>(d), k, n, kBaseline.mean, kBaseline.stddev, stream));
 }
 
 INSTANTIATE_TEST_SUITE_P(PaperConfigs, SraaFidelity,
@@ -177,9 +182,9 @@ class SaraaFidelity : public ::testing::TestWithParam<FidelityCase> {};
 TEST_P(SaraaFidelity, MatchesFig7Transcription) {
   const auto [n, k, d] = GetParam();
   const auto stream = mixed_stream(30000, 31 + n + k);
-  Saraa detector({n, k, d}, kBaseline);
+  Saraa detector({n, k, static_cast<int>(d)}, kBaseline);
   EXPECT_EQ(run_detector(detector, stream),
-            fig7_saraa(d, k, n, kBaseline.mean, kBaseline.stddev, stream));
+            fig7_saraa(static_cast<int>(d), k, n, kBaseline.mean, kBaseline.stddev, stream));
 }
 
 INSTANTIATE_TEST_SUITE_P(PaperConfigs, SaraaFidelity,

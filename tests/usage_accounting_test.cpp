@@ -2,6 +2,8 @@
 // for the composition of every loss-producing mechanism (conservation grid).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/rng.h"
 #include "markov/stationary.h"
 #include "model/ecommerce.h"
@@ -87,12 +89,16 @@ TEST(UsageAccounting, BoundedByOne) {
 
 // Composition grid: every loss mechanism enabled simultaneously must still
 // conserve transactions exactly.
+// gtest names each case by the raw bytes of its parameter, so the struct has
+// no padding: a `bool` flag left seven uninitialised bytes that changed the
+// case names from build to build. The 64-bit flag prints 00/01 as before.
 struct GridCase {
   double load_cpus;
   double downtime;
-  bool queue_downtime;
+  std::uint64_t queue_downtime;
   std::size_t admission;
 };
+static_assert(sizeof(GridCase) == 2 * sizeof(double) + sizeof(std::uint64_t) + sizeof(std::size_t));
 
 class ConservationGrid : public ::testing::TestWithParam<GridCase> {};
 
