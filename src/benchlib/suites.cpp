@@ -58,6 +58,30 @@ std::shared_ptr<std::vector<double>> make_observations() {
   return data;
 }
 
+/// `count` draws of Zipf(1) popularity over `population` items, each item
+/// named by a shuffled index in [0, population), so hot items are scattered
+/// over the index range rather than packed at its start.
+std::vector<std::uint32_t> zipf_draws(std::size_t population, std::size_t count,
+                                      common::RngStream& rng) {
+  std::vector<std::uint32_t> item_of_rank(population);
+  for (std::size_t r = 0; r < population; ++r) item_of_rank[r] = static_cast<std::uint32_t>(r);
+  for (std::size_t r = population - 1; r > 0; --r) {
+    const auto j = static_cast<std::size_t>(rng.uniform01() * static_cast<double>(r + 1));
+    std::swap(item_of_rank[r], item_of_rank[j]);
+  }
+  std::vector<double> cdf(population);
+  double sum = 0.0;
+  for (std::size_t r = 0; r < population; ++r) cdf[r] = (sum += 1.0 / static_cast<double>(r + 1));
+  for (double& c : cdf) c /= sum;
+  std::vector<std::uint32_t> draws(count);
+  for (std::uint32_t& item : draws) {
+    const auto rank = static_cast<std::size_t>(
+        std::lower_bound(cdf.begin(), cdf.end(), rng.uniform01()) - cdf.begin());
+    item = item_of_rank[std::min(rank, population - 1)];
+  }
+  return draws;
+}
+
 /// Feeds `count` observations one at a time.
 void feed_observe(core::Detector& detector, const std::vector<double>& data,
                   std::uint64_t count) {
@@ -254,21 +278,7 @@ void register_bank_suite(Registry& registry) {
     for (std::size_t lane = 0; lane < kWideLanes; ++lane) sparse->bank.add_lane(config);
     sparse->bank.reserve_triggers(kBatch);
     common::RngStream rng(0xBA'2BEA7, 2);
-    std::vector<std::uint32_t> lane_of_rank(kWideLanes);
-    for (std::size_t r = 0; r < kWideLanes; ++r) lane_of_rank[r] = static_cast<std::uint32_t>(r);
-    for (std::size_t r = kWideLanes - 1; r > 0; --r) {
-      const auto j = static_cast<std::size_t>(rng.uniform01() * static_cast<double>(r + 1));
-      std::swap(lane_of_rank[r], lane_of_rank[j]);
-    }
-    std::vector<double> cdf(kWideLanes);
-    double sum = 0.0;
-    for (std::size_t r = 0; r < kWideLanes; ++r) cdf[r] = (sum += 1.0 / static_cast<double>(r + 1));
-    for (double& c : cdf) c /= sum;
-    for (std::uint32_t& id : sparse->ids) {
-      const auto rank = static_cast<std::size_t>(
-          std::lower_bound(cdf.begin(), cdf.end(), rng.uniform01()) - cdf.begin());
-      id = lane_of_rank[std::min(rank, kWideLanes - 1)];
-    }
+    sparse->ids = zipf_draws(kWideLanes, kDataSize, rng);
   }
   registry.add("bank", "bank.sraa.sparse_100k", [data, sparse](std::uint64_t n) {
     std::uint64_t triggers = 0;
@@ -813,6 +823,54 @@ void register_ingestion_suite(Registry& registry) {
       sum += lookup->table.find(key * 2654435761u + 3);
     }
     do_not_optimize(sum);
+  });
+
+  // The routing probe of the 100k-stream fleet: a one-shard table holding
+  // 100k resident streams, fed Zipf(1)-keyed records in batches of
+  // kRouteBatch through FleetMonitor::route_records' loop — prefetch the
+  // probe of the record StreamTable::kProbeLookahead ahead, acquire this
+  // one, count it, map it to its lane. The ids of 2^20 draws cycle, so the
+  // hot set is the whole Zipf head and tail, not one batch re-read. One
+  // operation = one record.
+  static constexpr std::uint32_t kRouteStreams = 100000;
+  static constexpr std::size_t kRouteBatch = 8192;
+  static constexpr std::size_t kRouteDraws = std::size_t{1} << 20;
+  struct RouteFixture {
+    monitor::StreamTable table{core::DetectorConfig("SRAA"), 1, kRouteStreams, 0};
+    std::vector<wire::Record> records;
+    std::size_t cursor = 0;
+  };
+  const auto route = std::make_shared<RouteFixture>();
+  {
+    bool created = false;
+    for (std::uint32_t i = 0; i < kRouteStreams; ++i) {
+      (void)route->table.acquire(i * 2654435761u + 3, created);
+    }
+    common::RngStream rng(0x2007E, 1);
+    for (const std::uint32_t stream : zipf_draws(kRouteStreams, kRouteDraws, rng)) {
+      route->records.push_back({stream * 2654435761u + 3, (*data)[stream & kDataMask]});
+    }
+  }
+  registry.add("ingestion", "ingestion.stream_table.route_zipf_100k", [route](std::uint64_t n) {
+    monitor::StreamTable& table = route->table;
+    std::uint64_t lanes = 0;
+    std::uint64_t done = 0;
+    while (done < n) {
+      const auto count = static_cast<std::size_t>(std::min<std::uint64_t>(kRouteBatch, n - done));
+      const wire::Record* records = route->records.data() + route->cursor;
+      for (std::size_t i = 0; i < count; ++i) {
+        if (i + monitor::StreamTable::kProbeLookahead < count) {
+          table.prefetch(records[i + monitor::StreamTable::kProbeLookahead].stream_id);
+        }
+        bool created = false;
+        const std::uint32_t dense = table.acquire(records[i].stream_id, created);
+        table.count_received(dense);
+        lanes += table.lane_of(dense);
+      }
+      route->cursor = (route->cursor + kRouteBatch) & (kRouteDraws - 1);
+      done += count;
+    }
+    do_not_optimize(lanes);
   });
 
   // Stream admission: a fresh one-shard table interning 100k distinct ids

@@ -19,6 +19,13 @@ namespace {
 /// this many is touched (see there).
 constexpr std::size_t kLaneOrderDensity = 8;
 
+/// Look-ahead distances of the sparse observe_lanes walk: the counting and
+/// placement loops touch one entry per item and prefetch kIdLookahead items
+/// ahead; the per-lane step prefetches eleven columns and does more work per
+/// lane, so it looks kLaneLookahead lanes ahead.
+constexpr std::size_t kIdLookahead = 16;
+constexpr std::size_t kLaneLookahead = 8;
+
 /// The scalar detectors these SoA kernels replicate.
 bool family_is_bankable(std::string_view canonical) {
   return canonical == "Static" || canonical == "SRAA" || canonical == "SARAA" ||
@@ -617,7 +624,7 @@ void DetectorBank::record_row_triggers() {
   }
 }
 
-void DetectorBank::count_lanes(std::span<const std::uint32_t> lane_ids) {
+void DetectorBank::count_lanes(std::span<const std::uint32_t> lane_ids, bool look_ahead) {
   // lane_fill_ is all zero between batches. The append is branch-free: every
   // id is stored, and the count only moves past a lane seen for the first
   // time, so touched_ needs one slot past the most lanes a batch can touch.
@@ -627,20 +634,45 @@ void DetectorBank::count_lanes(std::span<const std::uint32_t> lane_ids) {
   if (touched_.size() < slots) touched_.resize(slots);
   std::uint32_t* touched = touched_.data();
   std::size_t touched_count = 0;
-  for (const std::uint32_t id : lane_ids) {
+  const auto count = [&](std::uint32_t id) {
     if (id >= lane_count) {
       for (std::size_t k = 0; k < touched_count; ++k) lane_fill_[touched[k]] = 0;
       REJUV_EXPECT(id < lane_count, "observe_lanes lane id out of range");
     }
     touched[touched_count] = id;
     touched_count += lane_fill_[id]++ == 0 ? 1 : 0;
+  };
+  const std::size_t n = lane_ids.size();
+  std::size_t i = 0;
+  if (look_ahead) {
+    // The id ahead is not checked yet: clamp it so the hint stays in bounds.
+    for (; i + kIdLookahead < n; ++i) {
+      const std::size_t ahead = lane_ids[i + kIdLookahead];
+      common::prefetch_write(lane_fill_.data() + std::min(ahead, lane_count - 1));
+      count(lane_ids[i]);
+    }
   }
+  for (; i < n; ++i) count(lane_ids[i]);
   touched_count_ = touched_count;
+}
+
+void DetectorBank::prefetch_lane(std::size_t lane) const noexcept {
+  common::prefetch_write(observations_.data() + lane);
+  common::prefetch_write(sum_.data() + lane);
+  common::prefetch_write(count_.data() + lane);
+  common::prefetch_write(wcur_.data() + lane);
+  common::prefetch_write(wnext_.data() + lane);
+  common::prefetch_write(target_.data() + lane);
+  common::prefetch_write(last_avg_.data() + lane);
+  common::prefetch_write(fill_.data() + lane);
+  common::prefetch_write(bucket_.data() + lane);
+  common::prefetch_read(depth_.data() + lane);
+  common::prefetch_read(buckets_.data() + lane);
 }
 
 void DetectorBank::note_touched(std::span<const std::uint32_t> lane_ids) {
   touched_count_ = 0;
-  count_lanes(lane_ids);
+  count_lanes(lane_ids, /*look_ahead=*/false);
   for (const std::uint32_t lane : touched_lanes()) lane_fill_[lane] = 0;
 }
 
@@ -652,7 +684,10 @@ void DetectorBank::observe_lanes(std::span<const std::uint32_t> lane_ids,
   if (values.empty()) return;
   const std::size_t lane_count = lanes();
   REJUV_EXPECT(lane_count > 0, "observe_lanes on an empty bank");
-  count_lanes(lane_ids);
+  // A batch with fewer values than one per kLaneOrderDensity lanes cannot
+  // take the lane-order walk below, so it visits its lanes in batch order,
+  // scattered over the bank: those walks prefetch a few lanes ahead.
+  count_lanes(lane_ids, values.size() * kLaneOrderDensity < lane_count);
   const std::span<const std::uint32_t> touched_list = touched_lanes();
 
   // Walk order. A batch that touches at least one lane in
@@ -677,7 +712,12 @@ void DetectorBank::observe_lanes(std::span<const std::uint32_t> lane_ids,
       place(l);
     }
   } else {
-    for (const std::uint32_t lane : touched_list) place(lane);
+    for (std::size_t k = 0; k < touched_list.size(); ++k) {
+      if (k + kIdLookahead < touched_list.size()) {
+        common::prefetch_write(lane_offset_.data() + touched_list[k + kIdLookahead]);
+      }
+      place(touched_list[k]);
+    }
   }
   if (columns_.size() < values.size()) columns_.resize(values.size());
   // Stable gather: each lane sees its own observations in arrival order.
@@ -711,7 +751,10 @@ void DetectorBank::observe_lanes(std::span<const std::uint32_t> lane_ids,
   if (lane_order) {
     for (std::size_t l = 0; l < lane_count; ++l) step_rest(l);
   } else {
-    for (const std::uint32_t lane : touched_list) step_rest(lane);
+    for (std::size_t k = 0; k < touched_list.size(); ++k) {
+      if (k + kLaneLookahead < touched_list.size()) prefetch_lane(touched_list[k + kLaneLookahead]);
+      step_rest(touched_list[k]);
+    }
   }
 }
 

@@ -35,6 +35,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/prefetch.h"
 #include "core/baseline.h"
 #include "core/checkpoint.h"
 #include "core/detector.h"
@@ -166,7 +167,11 @@ class DetectorBank {
   void advance_row(const double* row);
   void fixup_changed_lanes();
   void record_row_triggers();
-  void count_lanes(std::span<const std::uint32_t> lane_ids);
+  /// Counts `lane_ids` into lane_fill_ and lists the touched lanes;
+  /// `look_ahead` prefetches the lane_fill_ entry kIdLookahead ids ahead.
+  void count_lanes(std::span<const std::uint32_t> lane_ids, bool look_ahead);
+  /// Starts loading the hot per-lane columns one sparse-batch step reads.
+  void prefetch_lane(std::size_t lane) const noexcept;
   void check_lane(std::size_t lane) const;
 
   Family family_;
@@ -273,6 +278,12 @@ class BankController {
   std::uint64_t rejuvenations(std::size_t lane) const;
   /// 1-based observation indices at which `lane` triggered.
   const std::vector<std::uint64_t>& trigger_indices(std::size_t lane) const;
+  /// Starts loading `lane`'s trigger_indices() header, for a caller that
+  /// walks touched_lanes() and knows the lanes ahead. A hint: no state
+  /// changes, and `lane` is not checked.
+  void prefetch_trigger_indices(std::size_t lane) const noexcept {
+    common::prefetch_read(trigger_indices_.data() + lane);
+  }
 
   obs::DetectorSnapshot detector_snapshot(std::size_t lane) const { return bank_.snapshot(lane); }
 

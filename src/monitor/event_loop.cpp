@@ -35,7 +35,9 @@ bool EventLoop::add(int fd, std::uint32_t events, Callback callback) {
   ev.events = events;
   ev.data.fd = fd;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-    error_ = std::string("epoll_ctl(ADD): ") + ::strerror(errno);
+    const int error = errno;
+    error_ = std::string("epoll_ctl(ADD): ") + ::strerror(error);
+    errno = error;
     return false;
   }
   callbacks_[fd] = std::move(callback);

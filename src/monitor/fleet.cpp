@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "common/expect.h"
+#include "common/prefetch.h"
 #include "core/factory.h"
 #include "monitor/event_loop.h"
 #include "monitor/source.h"
@@ -38,6 +39,9 @@ constexpr std::size_t kInlineBatch = 8192;
 /// Reads per readable-event dispatch before yielding to other connections
 /// (level-triggered epoll re-arms anything left unread).
 constexpr int kReadsPerEvent = 8;
+/// The trigger drain prefetches the per-lane state of the touched lane this
+/// many lanes ahead of the one it drains.
+constexpr std::size_t kDrainLookahead = 8;
 constexpr std::size_t kRecvBuffer = 64 * 1024;
 
 std::string journal_path(const std::string& base, std::size_t index) {
@@ -202,7 +206,15 @@ void FleetMonitor::process_batch(WorkerShard& shard, const std::uint32_t* lanes,
   if (new_triggers > 0) {
     shard.triggers += new_triggers;
     if (counters_.triggers != nullptr) counters_.triggers->increment(new_triggers);
-    for (const std::uint32_t lane : touched) {
+    for (std::size_t k = 0; k < touched.size(); ++k) {
+      // The touched lanes are scattered over the shard's per-lane state:
+      // start loading the lane kDrainLookahead ahead while this one drains.
+      if (k + kDrainLookahead < touched.size()) {
+        const std::uint32_t ahead = touched[k + kDrainLookahead];
+        common::prefetch_read(shard.seen_triggers.data() + ahead);
+        ctrl.prefetch_trigger_indices(ahead);
+      }
+      const std::uint32_t lane = touched[k];
       const std::vector<std::uint64_t>& indices = ctrl.trigger_indices(lane);
       while (shard.seen_triggers[lane] < indices.size()) {
         const std::uint64_t observation = indices[shard.seen_triggers[lane]++];
@@ -261,10 +273,17 @@ void FleetMonitor::drain_inline() {
 }
 
 void FleetMonitor::route_records(const std::vector<wire::Record>& records) {
-  for (const wire::Record& record : records) {
+  const std::size_t count = records.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    const wire::Record& record = records[i];
     if (config_.max_observations > 0 && stats_.observations >= config_.max_observations) {
       request_stop();
       return;
+    }
+    // Ids arrive in no useful order at 100k streams, so most probes miss
+    // the cache: start the probe of a record further on before this one.
+    if (i + StreamTable::kProbeLookahead < count) {
+      table_.prefetch(records[i + StreamTable::kProbeLookahead].stream_id);
     }
     bool created = false;
     const std::uint32_t dense = table_.acquire(record.stream_id, created);
@@ -468,6 +487,11 @@ FleetStats FleetMonitor::run() {
     }
   };
 
+  // Inputs epoll refuses (EPERM: regular files, /dev/null). They are always
+  // readable, so the loop below reads them every pass as if epoll had
+  // reported them, until each reaches EOF and closes.
+  std::vector<int> unpolled_fds;
+
   auto add_connection = [&](int fd, bool socket) {
     set_nonblocking(fd);
     auto conn = std::make_unique<Connection>(fd, socket, config_.protocol, next_text_id_++);
@@ -476,7 +500,13 @@ FleetStats FleetMonitor::run() {
     ++stats_.connections_accepted;
     if (counters_.connections != nullptr) counters_.connections->increment();
     ingest_tracer_.connection_accepted(connections_.size());
-    loop.add(fd, EPOLLIN, on_readable);
+    if (loop.add(fd, EPOLLIN, on_readable)) return;
+    if (errno == EPERM) {
+      unpolled_fds.push_back(fd);
+      return;
+    }
+    ingest_tracer_.source_error(loop.error(), ++stats_.protocol_errors);
+    close_connection(fd, false);
   };
 
   // EMFILE backoff state: when accept() hits a descriptor limit the
@@ -513,15 +543,15 @@ FleetStats FleetMonitor::run() {
     }
   };
 
-  if (listen_fd_ >= 0) loop.add(listen_fd_, EPOLLIN, on_accept);
-  inputs_claimed_ = true;
-  for (const int fd : config_.input_fds) add_connection(fd, false);
-
   if (!config_.inline_processing) {
     for (auto& shard : workers_) {
       shard->thread = std::thread(&FleetMonitor::worker_loop, this, std::ref(*shard));
     }
   }
+
+  if (listen_fd_ >= 0) loop.add(listen_fd_, EPOLLIN, on_accept);
+  inputs_claimed_ = true;
+  for (const int fd : config_.input_fds) add_connection(fd, false);
 
   while (!stop_requested()) {
     if (accept_paused && std::chrono::steady_clock::now() >= accept_resume) {
@@ -534,7 +564,12 @@ FleetStats FleetMonitor::run() {
       ingest_tracer_.set_time(
           std::chrono::duration<double>(std::chrono::steady_clock::now() - start_time_).count());
     }
-    loop.poll(config_.idle_poll);
+    loop.poll(unpolled_fds.empty() ? config_.idle_poll : std::chrono::milliseconds(0));
+    for (const int fd : unpolled_fds) {
+      if (stop_requested()) break;
+      on_readable(fd, EPOLLIN);
+    }
+    std::erase_if(unpolled_fds, [&](int fd) { return connections_.count(fd) == 0; });
     if (config_.inline_processing) drain_inline();
     if (config_.max_observations > 0 && stats_.observations >= config_.max_observations) break;
     if (config_.stop_when_sources_done && saw_input && connections_.empty()) break;

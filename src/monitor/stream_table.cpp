@@ -4,16 +4,6 @@
 
 namespace rejuv::monitor {
 
-namespace {
-
-// Fibonacci hashing spreads consecutive external ids (the common assignment
-// scheme) across the table.
-std::size_t hash_id(std::uint32_t id, std::size_t mask) {
-  return static_cast<std::size_t>((std::uint64_t{id} * 0x9E3779B97F4A7C15ull) >> 32) & mask;
-}
-
-}  // namespace
-
 StreamTable::StreamTable(const core::DetectorConfig& config, std::size_t shards,
                          std::size_t max_streams, std::uint64_t cooldown_observations)
     : config_(config), max_streams_(max_streams) {

@@ -14,7 +14,8 @@
 //     checkpoint line and the downstream decisions;
 //   * scatter/gather observe_lanes with uneven per-lane batch sizes, and
 //     sparse batches on a 4096-lane bank (touched lanes only) interleaved
-//     with dense ones;
+//     with dense ones, including batches rejected for a bad lane id deep
+//     in the batch;
 //   * traced per-value runs whose JSONL event streams must match the scalar
 //     detector's byte for byte;
 //   * bulk admission: a controller grown by add_lanes in mixed chunks must
@@ -442,6 +443,75 @@ TEST_P(BankDifferential, SparseBatchesOnAWideBankMatchScalar) {
   // thousands of lanes, so most lanes sit out most batches.
   run_sparse_batches(GetParam(), /*portable=*/false);
   run_sparse_batches(GetParam(), /*portable=*/true);
+}
+
+TEST_P(BankDifferential, OutOfRangeLaneDeepInASparseBatchThrowsAndLeavesTheBankUsable) {
+  // A sparse batch on a wide bank prefetches ids ahead of the one it
+  // counts. A bad id well past that look-ahead must still throw, and undo
+  // the counts of the ids before it, so the next valid batch advances every
+  // lane exactly as the scalar twins.
+  constexpr std::size_t kWideLanes = 4096;
+  for (const bool portable : {false, true}) {
+    const std::string context = std::string(GetParam()) + (portable ? " portable" : " simd");
+    core::DetectorBank bank(GetParam());
+    bank.force_scalar(portable);
+    std::vector<std::unique_ptr<core::Detector>> scalars;
+    common::RngStream config_rng(kRootSeed, 0xBAD1D);
+    for (std::size_t lane = 0; lane < kWideLanes; ++lane) {
+      const core::DetectorConfig config = random_config(GetParam(), config_rng);
+      bank.add_lane(config);
+      scalars.push_back(core::make_detector(config));
+    }
+    common::RngStream rng(kRootSeed, 0xBAD1D + 1);
+    const auto make_batch = [&rng](std::vector<std::uint32_t>& ids, std::vector<double>& values) {
+      ids.clear();
+      values.clear();
+      for (std::size_t i = 0; i < 200; ++i) {
+        // Lanes 0..63 repeat, so their counts reach several per batch.
+        const double draw = rng.uniform01() * static_cast<double>(i % 3 == 0 ? kWideLanes : 64);
+        ids.push_back(static_cast<std::uint32_t>(draw));
+        values.push_back(rng.uniform01() < 0.4 ? 10.0 + 30.0 * rng.uniform01()
+                                               : 10.0 * rng.uniform01());
+      }
+    };
+    std::vector<std::uint32_t> ids;
+    std::vector<double> values;
+    std::vector<std::uint64_t> observations(kWideLanes, 0);
+    std::vector<std::vector<std::uint64_t>> scalar_triggers(kWideLanes);
+    std::vector<std::vector<std::uint64_t>> bank_triggers(kWideLanes);
+    for (int batch = 0; batch < 6; ++batch) {
+      make_batch(ids, values);
+      if (batch % 2 == 1) {
+        // Poisoned copy: the valid batch with one id out of range at a
+        // position past the look-ahead; nothing of it may stick.
+        std::vector<std::uint32_t> poisoned = ids;
+        poisoned[40 + 30 * static_cast<std::size_t>(batch)] =
+            static_cast<std::uint32_t>(kWideLanes + 7);
+        EXPECT_THROW(bank.observe_lanes(poisoned, values), std::invalid_argument) << context;
+        EXPECT_TRUE(bank.triggers().empty()) << context;
+      }
+      bank.observe_lanes(ids, values);
+      for (const core::BankTrigger& trigger : bank.triggers()) {
+        bank_triggers[trigger.lane].push_back(trigger.observation);
+      }
+      bank.clear_triggers();
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        const std::uint32_t lane = ids[i];
+        ++observations[lane];
+        if (scalars[lane]->observe(values[i]) == core::Decision::kRejuvenate) {
+          scalar_triggers[lane].push_back(observations[lane]);
+        }
+      }
+    }
+    for (std::size_t lane = 0; lane < kWideLanes; ++lane) {
+      if (observations[lane] == 0) continue;
+      const std::string lane_context = context + " lane " + std::to_string(lane);
+      EXPECT_EQ(bank.observations(lane), observations[lane]) << lane_context;
+      EXPECT_EQ(bank_triggers[lane], scalar_triggers[lane]) << lane_context;
+      expect_state_eq(bank.save_state(lane), scalars[lane]->save_state(), lane_context);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
 }
 
 TEST(BankControllerTouched, FirstAppearanceOrderOnBothPaths) {

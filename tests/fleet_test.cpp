@@ -2,12 +2,15 @@
 // and routing, end-to-end binary ingestion pinned against a sequentially-fed
 // bank twin, legacy text-client compatibility, bit-exact kill-and-resume
 // through the sharded checkpoint journal, size-triggered journal compaction,
-// a seeded property test pinning every stream to its own scalar replay under
-// random interleavings, torn writes and shard counts, and the TcpSource
-// descriptor-exhaustion regression.
+// the routing contracts (an observation budget ending mid-read, a full
+// stream table, inputs epoll cannot poll), a seeded property test pinning
+// every stream to its own scalar replay under random interleavings, torn
+// writes and shard counts, and the TcpSource descriptor-exhaustion
+// regression.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/epoll.h>
 #include <sys/resource.h>
@@ -18,6 +21,8 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <future>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -599,6 +604,194 @@ TEST(FleetTest, JournalCompactionBoundsGrowthAndRestoresExactly) {
   }
 
   remove_journals(journal);
+}
+
+// ------------------------------------------------- route_records contracts
+
+/// Each stream's decisions and end state must be those of one scalar
+/// controller fed exactly `values[id]`, the observations the fleet accepted.
+void expect_streams_match_replay(const FleetMonitor& fleet,
+                                 const std::map<std::uint32_t, std::vector<double>>& values,
+                                 std::map<std::uint32_t, std::vector<std::uint64_t>>& actions) {
+  const core::DetectorConfig detector = fleet.config().detector;
+  const auto make_detector = [&detector] { return core::make_detector(detector); };
+  const StreamTable& table = fleet.streams();
+  std::size_t triggers = 0;
+  for (const auto& [id, series] : values) {
+    const std::vector<std::uint64_t> offline =
+        harness::replay_trigger_indices(make_detector, series, 0);
+    triggers += offline.size();
+    core::RejuvenationController scalar(make_detector(), 0);
+    for (const double value : series) scalar.observe(value);
+    const std::uint32_t dense = table.find(id);
+    ASSERT_NE(dense, StreamTable::kInvalidStream) << "stream " << id;
+    const core::BankController& lanes = table.controller(table.shard_of(dense));
+    EXPECT_EQ(actions[id], offline) << "stream " << id;
+    EXPECT_EQ(state_json(lanes.save_state(table.lane_of(dense))), state_json(scalar.save_state()))
+        << "stream " << id;
+  }
+  EXPECT_GT(triggers, 0u) << "the accepted prefix should exercise the trigger path";
+  EXPECT_EQ(actions.size(), values.size()) << "an action named a stream the fleet did not accept";
+}
+
+/// Streams interleaved in an irregular but fixed order: record k belongs to
+/// stream (k * 7 + k / 9) % streams, with stream_value() values.
+std::vector<wire::Record> mixed_records(std::uint32_t streams, std::size_t count) {
+  std::vector<wire::Record> records;
+  std::vector<std::uint64_t> next(streams, 0);
+  for (std::size_t k = 0; k < count; ++k) {
+    const auto s = static_cast<std::uint32_t>((k * 7 + k / 9) % streams);
+    records.push_back({1000 + s * 17, stream_value(s, next[s]++)});
+  }
+  return records;
+}
+
+FleetConfig route_config() {
+  FleetConfig config;
+  config.detector = fast_sraa();
+  config.shards = 2;
+  config.listen = false;
+  config.inline_processing = true;
+  config.logical_time = true;
+  return config;
+}
+
+TEST(FleetRouting, ObservationBudgetEndingMidReadKeepsTheAcceptedPrefix) {
+  // 600 frames sit in the pipe before the engine starts, so one read
+  // decodes them all; the budget stops routing at record 437 of that read,
+  // far past the probe look-ahead.
+  constexpr std::uint64_t kBudget = 437;
+  const std::vector<wire::Record> records = mixed_records(40, 600);
+  FleetConfig config = route_config();
+  config.max_observations = kBudget;
+  std::thread writer;
+  config.input_fds = {pipe_feeding(encode_records(records), writer)};
+  writer.join();
+
+  FleetMonitor fleet(config);
+  std::map<std::uint32_t, std::vector<std::uint64_t>> actions;
+  fleet.set_action_callback(
+      [&](const FleetAction& action) { actions[action.stream_id].push_back(action.observation); });
+  const FleetStats stats = fleet.run();
+
+  std::map<std::uint32_t, std::vector<double>> accepted;
+  for (std::size_t k = 0; k < kBudget; ++k) {
+    accepted[records[k].stream_id].push_back(records[k].value);
+  }
+  EXPECT_EQ(stats.observations, kBudget);
+  EXPECT_EQ(stats.processed, kBudget);
+  EXPECT_EQ(stats.streams_rejected, 0u);
+  EXPECT_EQ(stats.streams, accepted.size());
+  expect_streams_match_replay(fleet, accepted, actions);
+}
+
+TEST(FleetRouting, FullTableRejectsLaterStreamsAndKeepsTheAdmittedOnes) {
+  // Twelve streams against a six-stream table: the first six ids to appear
+  // are admitted, every observation of the other six is rejected.
+  constexpr std::size_t kMaxStreams = 6;
+  const std::vector<wire::Record> records = mixed_records(12, 900);
+  FleetConfig config = route_config();
+  config.max_streams = kMaxStreams;
+  std::thread writer;
+  config.input_fds = {pipe_feeding(encode_records(records), writer)};
+
+  FleetMonitor fleet(config);
+  std::map<std::uint32_t, std::vector<std::uint64_t>> actions;
+  fleet.set_action_callback(
+      [&](const FleetAction& action) { actions[action.stream_id].push_back(action.observation); });
+  const FleetStats stats = fleet.run();
+  writer.join();
+
+  std::map<std::uint32_t, std::vector<double>> accepted;
+  std::uint64_t rejected = 0;
+  for (const wire::Record& record : records) {
+    if (accepted.count(record.stream_id) == 0 && accepted.size() == kMaxStreams) {
+      ++rejected;
+      continue;
+    }
+    accepted[record.stream_id].push_back(record.value);
+  }
+  EXPECT_EQ(stats.observations, records.size() - rejected);
+  EXPECT_EQ(stats.processed, records.size() - rejected);
+  EXPECT_EQ(stats.streams_rejected, rejected);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_EQ(stats.streams, kMaxStreams);
+  expect_streams_match_replay(fleet, accepted, actions);
+}
+
+/// Runs `fleet` on another thread. If it is still going after 20 s it is
+/// stopped, and `finished` reads false: a hang fails the test instead of
+/// stalling the suite.
+FleetStats run_watched(FleetMonitor& fleet, bool& finished) {
+  std::future<FleetStats> run = std::async(std::launch::async, [&fleet] { return fleet.run(); });
+  finished = run.wait_for(std::chrono::seconds(20)) == std::future_status::ready;
+  if (!finished) fleet.request_stop();
+  return run.get();
+}
+
+TEST(FleetRouting, RegularFileInputIsReadToTheEnd) {
+  // epoll refuses regular files (EPERM), as with `rejuv-monitor --fleet <
+  // file`. The engine must still read the file to EOF, inline and threaded,
+  // and return.
+  const std::vector<wire::Record> records = mixed_records(100, 20000);  // ~300 KB, many reads
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("rejuv_fleet_test_file_" + std::to_string(::getpid()) + ".bin");
+  {
+    std::ofstream out(path, std::ios::binary);
+    const std::string bytes = encode_records(records);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  std::map<std::uint32_t, std::vector<double>> all;
+  for (const wire::Record& record : records) all[record.stream_id].push_back(record.value);
+
+  for (const bool inline_mode : {true, false}) {
+    SCOPED_TRACE(::testing::Message() << "inline=" << inline_mode);
+    FleetConfig config = route_config();
+    config.inline_processing = inline_mode;
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    ASSERT_GE(fd, 0);
+    config.input_fds = {fd};
+    FleetMonitor fleet(config);
+    std::mutex actions_mutex;  // threaded mode calls back from the workers
+    std::map<std::uint32_t, std::vector<std::uint64_t>> actions;
+    fleet.set_action_callback([&](const FleetAction& action) {
+      const std::lock_guard<std::mutex> lock(actions_mutex);
+      actions[action.stream_id].push_back(action.observation);
+    });
+    bool finished = false;
+    const FleetStats stats = run_watched(fleet, finished);
+    ASSERT_TRUE(finished) << "the engine did not finish a regular file (read "
+                          << stats.observations << " observations)";
+    EXPECT_EQ(stats.frames, records.size());
+    EXPECT_EQ(stats.observations, records.size());
+    EXPECT_EQ(stats.processed, records.size());
+    EXPECT_EQ(stats.connections_closed, 1u);
+    EXPECT_EQ(stats.protocol_errors, 0u);
+    expect_streams_match_replay(fleet, all, actions);
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(FleetRouting, InputThatCannotBeRegisteredIsClosedWithAnError) {
+  // A descriptor epoll rejects for any reason but EPERM (here EBADF: the
+  // highest descriptor number, which nothing holds open) is dropped as a
+  // source error; the engine must not keep it open and wait for it. New
+  // descriptors take the lowest free number, so the engine's own epoll fd
+  // never lands on it.
+  struct rlimit limit {};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &limit), 0);
+  const int unused = static_cast<int>(std::min<rlim_t>(limit.rlim_cur, 1 << 20)) - 1;
+  ASSERT_EQ(::fcntl(unused, F_GETFD), -1);
+  FleetConfig config = route_config();
+  config.input_fds = {unused};
+  FleetMonitor fleet(config);
+  bool finished = false;
+  const FleetStats stats = run_watched(fleet, finished);
+  ASSERT_TRUE(finished) << "the engine kept an unregistered input open";
+  EXPECT_EQ(stats.connections_accepted, 1u);
+  EXPECT_EQ(stats.connections_closed, 1u);
+  EXPECT_EQ(stats.protocol_errors, 1u);
+  EXPECT_EQ(stats.observations, 0u);
 }
 
 // ------------------------------------------------------- seeded property
