@@ -11,7 +11,6 @@
 
 #include "common/rng.h"
 #include "core/controller.h"
-#include "core/extensions.h"
 #include "core/factory.h"
 #include "harness/paper.h"
 #include "markov/stationary.h"
@@ -20,7 +19,6 @@
 #include "sim/simulator.h"
 #include "sim/variates.h"
 #include "stats/ks_test.h"
-#include "stats/p2_quantile.h"
 #include "stats/trend.h"
 
 namespace {
@@ -117,20 +115,6 @@ void BM_SampleAveragePdf(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SampleAveragePdf)->Arg(5)->Arg(30);
-
-void BM_P2QuantilePush(benchmark::State& state) {
-  stats::P2Quantile estimator(0.95);
-  common::RngStream rng(4, 0);
-  std::vector<double> stream(4096);
-  for (double& value : stream) value = sim::exponential(rng, 0.2);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    estimator.push(stream[i]);
-    i = (i + 1) & 4095;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_P2QuantilePush);
 
 void BM_MannKendallWindow(benchmark::State& state) {
   const auto window_size = static_cast<std::size_t>(state.range(0));

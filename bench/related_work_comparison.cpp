@@ -5,9 +5,10 @@
 //   for short-term deviations" — expect heavy transaction loss at every
 //   load (a single tail observation fires it).
 // - Bobbio deterministic / risk-based [5]: single-threshold policies on the
-//   raw metric; the risk-based variant randomizes near the threshold.
+//   raw metric; the risk-based variant randomizes near the threshold. Both
+//   are the Bobbio family, the deterministic one at c == L.
 // - Trend(Mann-Kendall) [15]: fires on a statistically significant
-//   increasing RT trend.
+//   increasing RT trend; the MK family at L = 0.
 // - ResourceExhaustion (IBM Director [6]): proactive trigger on the aging
 //   resource itself — rejuvenate when free heap drops under a floor,
 //   pre-empting the GC pause entirely. Strong when you know *which*
@@ -18,8 +19,8 @@
 // The table reports the paper's two assessment criteria (RT at high load,
 // loss at low load) for each policy under the full e-commerce model.
 //
-// A second section scores every registry family — the paper's three plus
-// the related-work four (Adaptive, EDiv, Entropy, MK) — on the two numbers
+// A second section scores the paper's three families and the related-work
+// four with their own cascades (Adaptive, EDiv, Entropy, MK) on the two numbers
 // the change-point literature cares about: detection delay (observations
 // from aging onset to the first trigger) and false alarms (triggers before
 // onset), under three synthetic response-time regimes: stationary noise, a
@@ -33,7 +34,7 @@
 #include "common/flags.h"
 #include "common/rng.h"
 #include "common/table.h"
-#include "core/extensions.h"
+#include "core/spec.h"
 #include "harness/experiment.h"
 #include "harness/paper.h"
 #include "harness/report.h"
@@ -205,34 +206,21 @@ int main(int argc, char** argv) {
   std::vector<harness::SweepResult> sweeps;
   const auto system = harness::paper_system();
 
-  sweeps.push_back(harness::run_custom_sweep(
-      "QuantileThreshold(97.5%)",
-      [&] {
-        return std::make_unique<core::QuantileThresholdDetector>(q975, 1, baseline);
-      },
-      system, loads, protocol));
-  sweeps.push_back(harness::run_custom_sweep(
-      "QuantileThreshold(97.5%,r=5)",
-      [&] {
-        return std::make_unique<core::QuantileThresholdDetector>(q975, 5, baseline);
-      },
-      system, loads, protocol));
-  sweeps.push_back(harness::run_custom_sweep(
-      "Bobbio-deterministic(L=30)",
-      [&] { return std::make_unique<core::DeterministicThresholdPolicy>(30.0, baseline); },
-      system, loads, protocol));
-  sweeps.push_back(harness::run_custom_sweep(
-      "Bobbio-risk(c=15,L=45)",
-      [&] {
-        return std::make_unique<core::RiskBasedPolicy>(15.0, 45.0, baseline, 99);
-      },
-      system, loads, protocol));
-  sweeps.push_back(harness::run_custom_sweep(
-      "Trend(w=30,z=2.326)",
-      [&] {
-        return std::make_unique<core::TrendDetector>(30, 2.326, 0.05, baseline);
-      },
-      system, loads, protocol));
+  // The related-work rows keep their historical labels; each is a registry
+  // spec. Bobbio with c == L is the deterministic policy, MK with L = 0 the
+  // plain Mann-Kendall trend monitor.
+  const auto related_sweep = [&](const std::string& label, const std::string& spec) {
+    core::DetectorConfig config = core::parse_spec(spec);
+    config.baseline = baseline;
+    sweeps.push_back(harness::run_custom_sweep(
+        label, [config] { return core::make_detector(config); }, system, loads, protocol));
+  };
+  const std::string x975 = core::spec_number(q975);  // round-trips exactly
+  related_sweep("QuantileThreshold(97.5%)", "QuantileThreshold(x=" + x975 + ",r=1)");
+  related_sweep("QuantileThreshold(97.5%,r=5)", "QuantileThreshold(x=" + x975 + ",r=5)");
+  related_sweep("Bobbio-deterministic(L=30)", "Bobbio(c=30,L=30)");
+  related_sweep("Bobbio-risk(c=15,L=45)", "Bobbio(c=15,L=45,seed=99)");
+  related_sweep("Trend(w=30,z=2.326)", "MK(w=30,z=2.326,s=0.05,L=0)");
   // Rejuvenate just before the GC threshold (100 MB) would trip: the pause
   // never happens, at the price of steady in-flight loss at every load.
   sweeps.push_back(run_resource_exhaustion_sweep(system, loads, protocol, 150.0));

@@ -65,6 +65,10 @@ class Xoshiro256pp {
   /// non-overlapping substreams.
   void jump() noexcept;
 
+  /// The four state words, for checkpointing a generator mid-stream.
+  const std::array<std::uint64_t, 4>& state() const noexcept { return state_; }
+  void set_state(const std::array<std::uint64_t, 4>& state) noexcept { state_ = state; }
+
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
@@ -97,6 +101,10 @@ class RngStream {
   /// Uniform double in the half-open interval (0, 1]; safe as input to
   /// -log(u) without producing infinities.
   double uniform01_open_below() noexcept { return 1.0 - uniform01(); }
+
+  /// The engine, e.g. to checkpoint or restore its state words.
+  Xoshiro256pp& engine() noexcept { return engine_; }
+  const Xoshiro256pp& engine() const noexcept { return engine_; }
 
  private:
   static std::uint64_t derive_seed(std::uint64_t root_seed, std::uint64_t stream_id) noexcept {

@@ -1,5 +1,6 @@
 #include "core/mk_detector.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/expect.h"
@@ -20,7 +21,7 @@ DetectorDescriptor mk_descriptor() {
       count_param("w", 30, "observations per trend-test window", 3),
       real_param("z", 1.645, "one-sided Mann-Kendall quantile for an increasing trend", 0.0),
       real_param("s", 0.0, "minimum Sen slope per observation to count as aging", 0.0),
-      count_param("L", 3, "escalation levels before triggering"),
+      count_param("L", 3, "escalation levels before triggering", 0),
   };
   descriptor.make = [](const DetectorConfig& config) -> std::unique_ptr<Detector> {
     return std::make_unique<MkTrend>(
@@ -32,13 +33,14 @@ DetectorDescriptor mk_descriptor() {
 }
 
 MkTrend::MkTrend(MkParams params, Baseline baseline)
-    : params_(params), baseline_(baseline), cascade_(/*depth=*/1, params.levels) {
+    : params_(params),
+      baseline_(baseline),
+      cascade_(/*depth=*/1, std::max<std::size_t>(params.levels, 1)) {
   REJUV_EXPECT(params.window >= 3, "MK window w must be at least 3 (Mann-Kendall minimum)");
   REJUV_EXPECT(std::isfinite(params.z_alpha) && params.z_alpha >= 0.0,
                "MK quantile z must be non-negative and finite");
   REJUV_EXPECT(std::isfinite(params.min_slope) && params.min_slope >= 0.0,
                "MK slope gate s must be non-negative and finite");
-  REJUV_EXPECT(params.levels >= 1, "MK level count L must be at least 1");
   validate(baseline_);
   buffer_.reserve(params.window);
 }
@@ -57,7 +59,10 @@ Decision MkTrend::observe(double value) {
   last_z_ = result.z;
 
   const auto bucket_before = static_cast<std::int32_t>(cascade_.bucket());
-  const auto transition = cascade_.update(aging);
+  // L = 0 has no cascade to climb: the first trending window triggers.
+  const auto transition = params_.levels > 0 ? cascade_.update(aging)
+                          : aging            ? BucketCascade::Transition::kTriggered
+                                             : BucketCascade::Transition::kNone;
   if (tracer_ != nullptr) {
     tracer_->sample(mean, params_.z_alpha, aging, static_cast<std::int32_t>(cascade_.bucket()),
                     cascade_.fill(), static_cast<std::uint32_t>(params_.window));
@@ -115,7 +120,7 @@ void MkTrend::restore_state(const DetectorState& state) {
 
 obs::DetectorSnapshot MkTrend::snapshot() const {
   obs::DetectorSnapshot snapshot = base_snapshot();
-  snapshot.has_cascade = true;
+  snapshot.has_cascade = params_.levels > 0;
   snapshot.bucket = static_cast<std::int32_t>(cascade_.bucket());
   snapshot.bucket_count = static_cast<std::int32_t>(params_.levels);
   snapshot.fill = cascade_.fill();

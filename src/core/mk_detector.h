@@ -10,7 +10,9 @@
 // evidence accounting the paper's cascade detectors use, so one noisy
 // trending window cannot rejuvenate on its own and trend-free windows walk
 // the evidence back down. Overflowing the last level triggers rejuvenation
-// and resets the cascade. Like EDiv, decisions never reference the SLA
+// and resets the cascade. L = 0 skips the cascade and triggers on the first
+// trending window — the plain trend monitor in the spirit of Trivedi et
+// al.'s measurement-based aging estimation [15]. Like EDiv, decisions never reference the SLA
 // baseline: the trend is judged within the stream itself.
 #pragma once
 
@@ -32,7 +34,7 @@ struct MkParams {
   std::size_t window = 30;  ///< w: observations per trend test (>= 3)
   double z_alpha = 1.645;   ///< z: one-sided normal quantile of the MK test
   double min_slope = 0.0;   ///< s: minimum Sen slope per observation (>= 0)
-  std::size_t levels = 3;   ///< L: escalation levels before triggering (>= 1)
+  std::size_t levels = 3;   ///< L: escalation levels before triggering (0 = none)
 };
 
 class MkTrend final : public Detector {

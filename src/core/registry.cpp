@@ -14,6 +14,7 @@
 #include "core/saraa.h"
 #include "core/sraa.h"
 #include "core/static_rejuvenation.h"
+#include "core/threshold_policies.h"
 
 namespace rejuv::core {
 
@@ -71,6 +72,8 @@ DetectorRegistry& DetectorRegistry::instance() {
     fresh->register_family(ediv_descriptor());
     fresh->register_family(entropy_descriptor());
     fresh->register_family(mk_descriptor());
+    fresh->register_family(quantile_threshold_descriptor());
+    fresh->register_family(bobbio_descriptor());
     return fresh;
   }();
   return *registry;

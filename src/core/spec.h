@@ -13,7 +13,8 @@
 //   spec    := name [ "(" kv ("," kv)* ")" ]
 //   name    := any family registered in the DetectorRegistry
 //              (the built-ins: None | Static | SRAA | SARAA | SARAA-noaccel
-//               | CLTA | Adaptive | EDiv | Entropy | MK)
+//               | CLTA | Adaptive | EDiv | Entropy | MK | QuantileThreshold
+//               | Bobbio)
 //   kv      := key "=" number
 //   key     := a parameter key from the family's schema | mu | sigma
 //

@@ -81,7 +81,7 @@ struct SweepResult {
 
 /// Builds a fresh detector per replication; may return nullptr ("never
 /// rejuvenate"). Used to sweep detectors that DetectorConfig cannot
-/// describe (the extension detectors of core/extensions.h). Must be safe to
+/// describe (wrappers such as CalibratingDetector, test doubles). Must be safe to
 /// invoke from several threads at once (sweeps parallelize across
 /// (point, replication) work items unless the protocol disables it).
 using DetectorFactory = std::function<std::unique_ptr<core::Detector>()>;

@@ -2,7 +2,7 @@
 //
 // The related-work line of Trivedi et al. [15] detects software aging by
 // trend analysis of resource/performance time series. These primitives back
-// the TrendDetector extension: the Mann-Kendall statistic tests for a
+// the MK detector family (core/mk_detector.h): the Mann-Kendall statistic tests for a
 // monotonic trend without distributional assumptions, and Sen's slope
 // estimates its magnitude robustly.
 #pragma once

@@ -12,7 +12,7 @@
 #include "cluster/cluster.h"
 #include "cluster/sweep.h"
 #include "common/rng.h"
-#include "core/extensions.h"
+#include "core/spec.h"
 #include "harness/paper.h"
 
 namespace rejuv::cluster {
@@ -21,9 +21,7 @@ namespace {
 DetectorFactory hair_trigger() {
   // Fires on any single observation above 10 s — plenty of rejuvenations
   // per run, which is what the chaos ordinals key on.
-  return [] {
-    return std::make_unique<core::QuantileThresholdDetector>(10.0, 1, core::Baseline{5.0, 5.0});
-  };
+  return [] { return core::make_detector(core::parse_spec("QuantileThreshold(x=10,r=1)")); };
 }
 
 DetectorFactory null_factory() {

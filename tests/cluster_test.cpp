@@ -5,7 +5,7 @@
 #include <memory>
 
 #include "cluster/cluster.h"
-#include "core/extensions.h"
+#include "core/spec.h"
 #include "harness/paper.h"
 
 namespace rejuv::cluster {
@@ -21,6 +21,11 @@ ClusterConfig small_cluster(std::size_t hosts, double total_rate) {
 
 DetectorFactory saraa_factory() {
   return [] { return core::make_detector(harness::saraa_config({2, 5, 3})); };
+}
+
+/// Fires on any single observation above 10 s: hosts rejuvenate constantly.
+DetectorFactory hair_trigger() {
+  return [] { return core::make_detector(core::parse_spec("QuantileThreshold(x=10,r=1)")); };
 }
 
 DetectorFactory null_factory() {
@@ -132,12 +137,7 @@ TEST(Failover, DownHostsReceiveNothingWhenRoutedAround) {
   config.strategy = RejuvenationStrategy::kRolling;
   sim::Simulator simulator;
   // Hair-trigger detector: hosts rejuvenate constantly, so one is often down.
-  Cluster cluster(simulator, config,
-                  [] {
-                    return std::make_unique<core::QuantileThresholdDetector>(
-                        10.0, 1, core::Baseline{5.0, 5.0});
-                  },
-                  6);
+  Cluster cluster(simulator, config, hair_trigger(), 6);
   cluster.run_transactions(10000);
   const ClusterMetrics m = cluster.metrics();
   EXPECT_GT(m.rejuvenations, 5u);
@@ -154,12 +154,7 @@ TEST(Failover, SimultaneousStrategyCanLoseTheWholeCluster) {
   config.route_around_down_hosts = true;
   config.strategy = RejuvenationStrategy::kSimultaneous;
   sim::Simulator simulator;
-  Cluster cluster(simulator, config,
-                  [] {
-                    return std::make_unique<core::QuantileThresholdDetector>(
-                        10.0, 1, core::Baseline{5.0, 5.0});
-                  },
-                  6);
+  Cluster cluster(simulator, config, hair_trigger(), 6);
   cluster.run_transactions(10000);
   EXPECT_GT(cluster.metrics().lost_all_down, 0u);
 }
@@ -170,12 +165,7 @@ TEST(Failover, ObliviousBalancerLosesDowntimeTraffic) {
   config.routing = RoutingPolicy::kRoundRobin;
   config.route_around_down_hosts = false;
   sim::Simulator simulator;
-  Cluster cluster(simulator, config,
-                  [] {
-                    return std::make_unique<core::QuantileThresholdDetector>(
-                        10.0, 1, core::Baseline{5.0, 5.0});
-                  },
-                  6);
+  Cluster cluster(simulator, config, hair_trigger(), 6);
   cluster.run_transactions(10000);
   // Host models run with zero internal downtime now — the loss shows up as
   // the balancer spraying transactions at coordinator-down hosts.
@@ -192,12 +182,7 @@ TEST(Failover, AllHostsDownTransactionsAreAccountedAsLost) {
   config.route_around_down_hosts = true;
   config.strategy = RejuvenationStrategy::kRolling;
   sim::Simulator simulator;
-  Cluster cluster(simulator, config,
-                  [] {
-                    return std::make_unique<core::QuantileThresholdDetector>(
-                        10.0, 1, core::Baseline{5.0, 5.0});
-                  },
-                  6);
+  Cluster cluster(simulator, config, hair_trigger(), 6);
   cluster.run_transactions(10000);
   const ClusterMetrics m = cluster.metrics();
   EXPECT_GT(m.rejuvenations, 0u);

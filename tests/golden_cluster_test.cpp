@@ -21,7 +21,7 @@
 #include <string>
 
 #include "cluster/cluster.h"
-#include "core/extensions.h"
+#include "core/spec.h"
 #include "harness/paper.h"
 #include "obs/sink.h"
 #include "obs/trace_reader.h"
@@ -55,10 +55,7 @@ std::string regenerate() {
   sim::Simulator simulator;
   cluster::Cluster cluster(
       simulator, config,
-      [] {
-        return std::make_unique<core::QuantileThresholdDetector>(10.0, 1,
-                                                                 core::Baseline{5.0, 5.0});
-      },
+      [] { return core::make_detector(core::parse_spec("QuantileThreshold(x=10,r=1)")); },
       20060625);
   cluster.set_instrumentation(&sink, nullptr);
   cluster.run_transactions(4000);

@@ -6,7 +6,7 @@
 #include <cstdlib>
 #include <memory>
 
-#include "core/extensions.h"
+#include "core/spec.h"
 #include "harness/experiment.h"
 #include "harness/paper.h"
 #include "harness/report.h"
@@ -104,7 +104,7 @@ TEST(RunPoint, RejectsNonPositiveLoad) {
 
 TEST(RunCustomPoint, DriveExtensionDetectors) {
   const auto factory = [] {
-    return std::make_unique<core::QuantileThresholdDetector>(15.0, 1, core::Baseline{5.0, 5.0});
+    return core::make_detector(core::parse_spec("QuantileThreshold(x=15,r=1)"));
   };
   const auto result = run_custom_point(factory, paper_system(), 8.0, tiny_protocol());
   EXPECT_EQ(result.completed + result.lost, 2u * 2000u);

@@ -1,6 +1,6 @@
 // Tests for rejuv::markov: dense linear algebra, CTMC transient analysis by
-// uniformization, phase-type algebra, and the paper's Fig. 3/4 chains with
-// the §4.1 false-alarm numbers.
+// uniformization, phase-type algebra, the paper's Fig. 3/4 chains with
+// the §4.1 false-alarm numbers, and the stationary solver on the Fig. 1 chain.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +9,7 @@
 #include "markov/linalg.h"
 #include "markov/phase_type.h"
 #include "markov/sample_average.h"
+#include "markov/stationary.h"
 #include "queueing/mmc.h"
 
 namespace rejuv::markov {
@@ -333,6 +334,60 @@ TEST(ResponseTimeChain, ValidatesParameters) {
   EXPECT_THROW(response_time_phase_type({1.5, 0.2, 1.6}), std::invalid_argument);
   EXPECT_THROW(response_time_phase_type({0.9, -0.2, 1.6}), std::invalid_argument);
   EXPECT_THROW(response_time_phase_type({0.9, 0.2, 0.0}), std::invalid_argument);
+}
+
+// ------------------------------------------------------- stationary (Fig. 1)
+
+TEST(Stationary, TwoStateChainClosedForm) {
+  markov::Ctmc chain(2);
+  chain.add_transition(0, 1, 2.0);
+  chain.add_transition(1, 0, 3.0);
+  const auto pi = markov::stationary_distribution(chain);
+  EXPECT_NEAR(pi[0], 0.6, 1e-12);
+  EXPECT_NEAR(pi[1], 0.4, 1e-12);
+}
+
+TEST(Stationary, RejectsAbsorbingStates) {
+  markov::Ctmc chain(2);
+  chain.add_transition(0, 1, 1.0);
+  EXPECT_THROW(markov::stationary_distribution(chain), std::invalid_argument);
+}
+
+TEST(Stationary, Fig1BirthDeathMatchesErlangWc) {
+  // Solve the Fig. 1 chain numerically and compare P(fewer than c jobs)
+  // against the Erlang-based Wc of the queueing library.
+  const double lambda = 1.6, mu = 0.2;
+  const std::size_t c = 16;
+  const auto chain = markov::build_mmc_birth_death_chain(lambda, mu, c, 400);
+  const auto pi = markov::stationary_distribution(chain);
+  double wc = 0.0;
+  for (std::size_t k = 0; k < c; ++k) wc += pi[k];
+  EXPECT_NEAR(wc, queueing::MmcQueue(lambda, mu, c).probability_no_wait(), 1e-9);
+}
+
+TEST(Stationary, Fig1MeanJobsMatchesLittlesLaw) {
+  const double lambda = 2.4, mu = 0.2;
+  const std::size_t c = 16;
+  const auto chain = markov::build_mmc_birth_death_chain(lambda, mu, c, 600);
+  const auto pi = markov::stationary_distribution(chain);
+  double mean_jobs = 0.0;
+  for (std::size_t k = 0; k < pi.size(); ++k) mean_jobs += static_cast<double>(k) * pi[k];
+  EXPECT_NEAR(mean_jobs, queueing::MmcQueue(lambda, mu, c).mean_jobs_in_system(), 1e-6);
+}
+
+TEST(Stationary, MmppPhaseProbabilities) {
+  // The MMPP's mean_rate uses the stationary phase split; validate it
+  // against the generic solver.
+  markov::Ctmc phases(2);
+  phases.add_transition(0, 1, 1.0 / 90.0);  // normal -> burst
+  phases.add_transition(1, 0, 1.0 / 10.0);  // burst -> normal
+  const auto pi = markov::stationary_distribution(phases);
+  EXPECT_NEAR(pi[1], 0.1, 1e-12);
+}
+
+TEST(BirthDeathBuilder, ValidatesArguments) {
+  EXPECT_THROW(markov::build_mmc_birth_death_chain(0.0, 0.2, 16, 100), std::invalid_argument);
+  EXPECT_THROW(markov::build_mmc_birth_death_chain(1.0, 0.2, 16, 8), std::invalid_argument);
 }
 
 }  // namespace

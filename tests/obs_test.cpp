@@ -7,9 +7,9 @@
 #include <sstream>
 
 #include "core/clta.h"
-#include "core/extensions.h"
 #include "core/factory.h"
 #include "core/saraa.h"
+#include "core/spec.h"
 #include "core/sraa.h"
 #include "core/static_rejuvenation.h"
 #include "obs/event.h"
@@ -304,18 +304,18 @@ TEST(DetectorSnapshotTest, StaticDetectorTracksPerObservationCascade) {
 }
 
 TEST(DetectorSnapshotTest, ExtensionDetectorsReportTheirEvidence) {
-  core::TrendDetector trend(/*window=*/8, /*z_alpha=*/1.96, /*min_slope=*/0.0, {5.0, 5.0});
-  trend.observe(1.0);
-  trend.observe(2.0);
-  const obs::DetectorSnapshot trend_snapshot = trend.snapshot();
+  const auto trend = core::make_detector(core::parse_spec("MK(w=8,z=1.96,s=0,L=0)"));
+  trend->observe(1.0);
+  trend->observe(2.0);
+  const obs::DetectorSnapshot trend_snapshot = trend->snapshot();
   EXPECT_EQ(trend_snapshot.sample_size, 8u);
   EXPECT_EQ(trend_snapshot.pending, 2u);
   expect_snapshot_round_trips(trend_snapshot);
 
-  core::QuantileThresholdDetector quantile(/*threshold=*/15.0, /*consecutive=*/3, {5.0, 5.0});
-  quantile.observe(20.0);
-  quantile.observe(20.0);
-  const obs::DetectorSnapshot quantile_snapshot = quantile.snapshot();
+  const auto quantile = core::make_detector(core::parse_spec("QuantileThreshold(x=15,r=3)"));
+  quantile->observe(20.0);
+  quantile->observe(20.0);
+  const obs::DetectorSnapshot quantile_snapshot = quantile->snapshot();
   EXPECT_FALSE(quantile_snapshot.has_cascade);
   EXPECT_EQ(quantile_snapshot.fill, 2);   // exceedance run length
   EXPECT_EQ(quantile_snapshot.depth, 3);  // required run length

@@ -57,6 +57,21 @@ TEST(SpecRoundTrip, EveryRegisteredFamilyDefaultConfig) {
   }
 }
 
+TEST(SpecRoundTrip, NearbyRealsNameDistinctDetectors) {
+  // Real parameters print in shortest round-trip form, not cut to a fixed
+  // width: thresholds that share their first five characters still name two
+  // different detectors.
+  DetectorConfig coarse{"QuantileThreshold"};
+  coarse.set("x", 123.4);
+  DetectorConfig fine{"QuantileThreshold"};
+  fine.set("x", 123.45);
+  expect_round_trip(coarse);
+  expect_round_trip(fine);
+  EXPECT_EQ(describe(coarse), "QuantileThreshold(x=123.4,r=1)");
+  EXPECT_EQ(describe(fine), "QuantileThreshold(x=123.45,r=1)");
+  EXPECT_EQ(make_detector(fine)->name(), describe(fine));
+}
+
 TEST(SpecParse, AcceptsWhitespaceAndCase) {
   const DetectorConfig expected = harness::sraa_config({2, 5, 3});
   EXPECT_EQ(parse_spec(" sraa ( N = 2 , k = 5 , D = 3 ) "), expected);

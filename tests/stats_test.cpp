@@ -1,5 +1,6 @@
 // Tests for rejuv::stats: running statistics, the normal distribution,
-// autocorrelation, histograms, quantiles, windows, batch means, z-tests.
+// autocorrelation, histograms, quantiles, windows, batch means, z-tests,
+// and the Mann-Kendall/Sen trend statistics.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,6 +18,7 @@
 #include "stats/normal.h"
 #include "stats/quantiles.h"
 #include "stats/running_stats.h"
+#include "stats/trend.h"
 
 namespace rejuv::stats {
 namespace {
@@ -470,6 +472,67 @@ TEST(Inference, MeanExceedsMatchesCltaRule) {
 TEST(Inference, PValueIsNominalAtQuantile) {
   const double p = one_sided_p_value(5.0 + 1.96 * 5.0 / std::sqrt(30.0), 5.0, 5.0, 30);
   EXPECT_NEAR(p, 0.025, 1e-4);
+}
+
+// ------------------------------------------------------- Mann-Kendall / Sen
+
+TEST(MannKendall, MonotoneSequencesSaturateS) {
+  const std::vector<double> up{1.0, 2.0, 3.0, 4.0, 5.0};
+  const auto result_up = stats::mann_kendall(up);
+  EXPECT_EQ(result_up.s, 10);  // n(n-1)/2
+  EXPECT_TRUE(result_up.increasing());
+  const std::vector<double> down{5.0, 4.0, 3.0, 2.0, 1.0};
+  const auto result_down = stats::mann_kendall(down);
+  EXPECT_EQ(result_down.s, -10);
+  EXPECT_TRUE(result_down.decreasing());
+}
+
+TEST(MannKendall, IidNoiseIsInsignificant) {
+  common::RngStream rng(71, 0);
+  int significant = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<double> window(50);
+    for (double& x : window) x = rng.uniform01();
+    if (stats::mann_kendall(window).increasing(1.645)) ++significant;
+  }
+  // One-sided 5% test: expect ~10 of 200; allow generous slack.
+  EXPECT_LT(significant, 25);
+}
+
+TEST(MannKendall, DetectsTrendUnderNoise) {
+  common::RngStream rng(71, 1);
+  std::vector<double> window(60);
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    window[i] = 0.2 * static_cast<double>(i) + 3.0 * sim::standard_normal(rng);
+  }
+  EXPECT_TRUE(stats::mann_kendall(window).increasing(1.96));
+}
+
+TEST(MannKendall, VarianceFormula) {
+  const std::vector<double> window(10, 0.0);
+  // All ties: S = 0, variance = n(n-1)(2n+5)/18 = 10*9*25/18 = 125.
+  const auto result = stats::mann_kendall(window);
+  EXPECT_EQ(result.s, 0);
+  EXPECT_DOUBLE_EQ(result.variance, 125.0);
+  EXPECT_DOUBLE_EQ(result.z, 0.0);
+}
+
+TEST(MannKendall, RejectsTinyWindows) {
+  const std::vector<double> two{1.0, 2.0};
+  EXPECT_THROW(stats::mann_kendall(two), std::invalid_argument);
+}
+
+TEST(SenSlope, RecoversLinearSlope) {
+  std::vector<double> window(20);
+  for (std::size_t i = 0; i < window.size(); ++i) window[i] = 4.0 + 0.5 * static_cast<double>(i);
+  EXPECT_NEAR(stats::sen_slope(window), 0.5, 1e-12);
+}
+
+TEST(SenSlope, RobustToOutliers) {
+  std::vector<double> window(21);
+  for (std::size_t i = 0; i < window.size(); ++i) window[i] = 0.3 * static_cast<double>(i);
+  window[10] = 1000.0;  // single outlier must not move the median slope much
+  EXPECT_NEAR(stats::sen_slope(window), 0.3, 0.05);
 }
 
 }  // namespace

@@ -18,12 +18,9 @@
 //                          (composes with --calibrate). Same grammar as
 //                          rejuv-monitor; any family in the detector registry
 //                          is accepted (rejuv-monitor --list-detectors).
-//   --algorithm=NAME       registry family name, case-insensitive [saraa], or
-//                          one of the extension policies quantile|trend|
-//                          bobbio-det|bobbio-risk
+//   --algorithm=NAME       registry family name, case-insensitive [saraa]
 //   --n, --k, --d          algorithm parameters [2, 5, 3]
-//   --z                    CLTA quantile / trend z_alpha [1.96]
-//   --threshold            quantile/bobbio threshold value [15]
+//   --z                    CLTA / MK quantile [1.96]
 //   --mu-x, --sigma-x      baseline [5, 5]
 //   --calibrate=N          estimate the baseline from the first N healthy
 //                          observations instead (adaptive mode) [off]
@@ -54,7 +51,6 @@
 #include "common/flags.h"
 #include "common/table.h"
 #include "core/controller.h"
-#include "core/extensions.h"
 #include "core/factory.h"
 #include "core/spec.h"
 #include "exec/pool.h"
@@ -74,65 +70,28 @@ core::Baseline parse_baseline(const common::Flags& flags) {
 }
 
 harness::DetectorFactory parse_detector(const common::Flags& flags, std::string& label) {
-  const auto calibrate_spec = flags.get_int("calibrate", 0);
+  core::DetectorConfig config;
   if (const auto spec = flags.get("detector")) {
     // Spec strings round-trip through core::parse_spec/describe, so the label
     // is always the canonical form regardless of how the user spelled it.
-    const core::DetectorConfig config = core::parse_spec(*spec);
-    if (calibrate_spec > 0 && !config.is_null()) {
-      label = "Calibrating[" + core::describe(config) + "]";
-      return [config, calibrate_spec] {
-        return std::make_unique<core::CalibratingDetector>(
-            config, static_cast<std::uint64_t>(calibrate_spec));
-      };
-    }
-    label = core::describe(config);
-    return [config] { return core::make_detector(config); };
+    config = core::parse_spec(*spec);
+  } else {
+    // Any registered family works here (case-insensitive): the legacy
+    // --n/--k/--d/--z flags map onto the keys the family actually has, and
+    // families with other knobs (Adaptive, EDiv, Entropy, MK, Bobbio, ...)
+    // run on their schema defaults — use --detector=SPEC to set those.
+    config = core::DetectorConfig{flags.get("algorithm").value_or("saraa")};
+    const auto n = static_cast<std::size_t>(flags.get_int("n", 2));
+    const auto k = static_cast<std::size_t>(flags.get_int("k", 5));
+    const int d = static_cast<int>(flags.get_int("d", 3));
+    if (config.has("n")) config.set("n", static_cast<double>(n));
+    if (config.has("K")) config.set("K", static_cast<double>(k));
+    if (config.has("D")) config.set("D", static_cast<double>(d));
+    if (config.has("z")) config.set("z", flags.get_double("z", 1.96));
+    config.baseline = parse_baseline(flags);
   }
 
-  const std::string algorithm = flags.get("algorithm").value_or("saraa");
-  const auto n = static_cast<std::size_t>(flags.get_int("n", 2));
-  const auto k = static_cast<std::size_t>(flags.get_int("k", 5));
-  const int d = static_cast<int>(flags.get_int("d", 3));
-  const double z = flags.get_double("z", 1.96);
-  const double threshold = flags.get_double("threshold", 15.0);
-  const core::Baseline baseline = parse_baseline(flags);
-  const auto calibrate = flags.get_int("calibrate", 0);
-
-  if (algorithm == "quantile") {
-    label = "QuantileThreshold(" + common::format_double(threshold, 2) + ")";
-    return [threshold, baseline] {
-      return std::make_unique<core::QuantileThresholdDetector>(threshold, 1, baseline);
-    };
-  } else if (algorithm == "trend") {
-    label = "Trend(w=" + std::to_string(n) + ",z=" + common::format_double(z, 2) + ")";
-    return [n, z, baseline] {
-      return std::make_unique<core::TrendDetector>(n, z, 0.0, baseline);
-    };
-  } else if (algorithm == "bobbio-det") {
-    label = "Bobbio-deterministic(" + common::format_double(threshold, 2) + ")";
-    return [threshold, baseline] {
-      return std::make_unique<core::DeterministicThresholdPolicy>(threshold, baseline);
-    };
-  } else if (algorithm == "bobbio-risk") {
-    label = "Bobbio-risk(" + common::format_double(threshold, 2) + ")";
-    return [threshold, baseline] {
-      return std::make_unique<core::RiskBasedPolicy>(threshold, 3.0 * threshold, baseline, 17);
-    };
-  }
-
-  // Any registered family works here (case-insensitive): the legacy
-  // --n/--k/--d/--z flags map onto the keys the family actually has, and
-  // families with other knobs (Adaptive, EDiv, Entropy, MK, ...) run on
-  // their schema defaults — use --detector=SPEC to set those.
-  core::DetectorConfig config{algorithm};
-  if (config.has("n")) config.set("n", static_cast<double>(n));
-  if (config.has("K")) config.set("K", static_cast<double>(k));
-  if (config.has("D")) config.set("D", static_cast<double>(d));
-  if (config.has("z")) config.set("z", z);
-  config.baseline = baseline;
-
-  if (calibrate > 0 && !config.is_null()) {
+  if (const auto calibrate = flags.get_int("calibrate", 0); calibrate > 0 && !config.is_null()) {
     label = "Calibrating[" + core::describe(config) + "]";
     return [config, calibrate] {
       return std::make_unique<core::CalibratingDetector>(config,
