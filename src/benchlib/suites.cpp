@@ -212,8 +212,8 @@ void register_bank_suite(Registry& registry) {
   for (const auto& entry : families) {
     const core::DetectorConfig config = core::parse_spec(entry.spec);
 
-    auto bank = std::make_shared<core::DetectorBank>(config.family());
-    for (std::size_t lane = 0; lane < kLanes; ++lane) bank->add_lane(config);
+    auto bank = std::make_shared<core::DetectorBank>(config);
+    bank->add_lanes(kLanes);
     bank->reserve_triggers(kDataSize);
     registry.add("bank", std::string("bank.") + entry.key + ".rows_1024",
                  [data, bank](std::uint64_t n) {
@@ -261,6 +261,35 @@ void register_bank_suite(Registry& registry) {
                  });
   }
 
+  // The same dense 1024-lane rows, as observe_lanes batches on a
+  // BankController with a 16-observation cooldown. Any cooldown sends every
+  // batch down the controller's per-value path instead of the bank's row
+  // kernel, so next to `rows_1024` this is the price of cooldown living
+  // outside the bank pass.
+  struct CooldownFixture {
+    core::BankController controller{core::parse_spec("SRAA(n=2,K=5,D=3,mu=5,sigma=5)"), 16};
+    std::vector<std::uint32_t> ids = std::vector<std::uint32_t>(kDataSize);
+  };
+  const auto cooldown = std::make_shared<CooldownFixture>();
+  cooldown->controller.add_lanes(kLanes);
+  for (std::size_t i = 0; i < kDataSize; ++i) {
+    cooldown->ids[i] = static_cast<std::uint32_t>(i % kLanes);
+  }
+  registry.add("bank", "bank.sraa.cooldown_1024", [data, cooldown](std::uint64_t n) {
+    std::uint64_t triggers = 0;
+    std::uint64_t done = 0;
+    while (done < n) {
+      const std::uint64_t want_rows = (n - done + kLanes - 1) / kLanes;
+      const std::size_t rows =
+          want_rows < kBlockRows ? static_cast<std::size_t>(want_rows) : kBlockRows;
+      triggers += cooldown->controller.observe_lanes(
+          std::span<const std::uint32_t>(cooldown->ids.data(), rows * kLanes),
+          std::span<const double>(data->data(), rows * kLanes));
+      done += rows * kLanes;
+    }
+    do_not_optimize(triggers);
+  });
+
   // The open-loop fleet shape: a 100k-lane SRAA bank fed observe_lanes
   // batches of kBatch values whose lane ids are Zipf-distributed (a few hot
   // streams, a long tail), so each batch touches a few hundred of the 100k
@@ -268,14 +297,13 @@ void register_bank_suite(Registry& registry) {
   // the width of the bank.
   constexpr std::size_t kWideLanes = 100000;
   struct SparseFixture {
-    core::DetectorBank bank{"SRAA"};
+    core::DetectorBank bank{core::parse_spec("SRAA(n=2,K=5,D=3,mu=5,sigma=5)")};
     std::vector<std::uint32_t> ids = std::vector<std::uint32_t>(kDataSize);
     std::size_t cursor = 0;
   };
   const auto sparse = std::make_shared<SparseFixture>();
   {
-    const core::DetectorConfig config = core::parse_spec("SRAA(n=2,K=5,D=3,mu=5,sigma=5)");
-    for (std::size_t lane = 0; lane < kWideLanes; ++lane) sparse->bank.add_lane(config);
+    sparse->bank.add_lanes(kWideLanes);
     sparse->bank.reserve_triggers(kBatch);
     common::RngStream rng(0xBA'2BEA7, 2);
     sparse->ids = zipf_draws(kWideLanes, kDataSize, rng);
@@ -829,7 +857,7 @@ void register_ingestion_suite(Registry& registry) {
   // 100k resident streams, fed Zipf(1)-keyed records in batches of
   // kRouteBatch through FleetMonitor::route_records' loop — prefetch the
   // probe of the record StreamTable::kProbeLookahead ahead, acquire this
-  // one, count it, map it to its lane. The ids of 2^20 draws cycle, so the
+  // one, map it to its lane. The ids of 2^20 draws cycle, so the
   // hot set is the whole Zipf head and tail, not one batch re-read. One
   // operation = one record.
   static constexpr std::uint32_t kRouteStreams = 100000;
@@ -864,7 +892,6 @@ void register_ingestion_suite(Registry& registry) {
         }
         bool created = false;
         const std::uint32_t dense = table.acquire(records[i].stream_id, created);
-        table.count_received(dense);
         lanes += table.lane_of(dense);
       }
       route->cursor = (route->cursor + kRouteBatch) & (kRouteDraws - 1);

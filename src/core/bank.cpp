@@ -21,7 +21,7 @@ constexpr std::size_t kLaneOrderDensity = 8;
 
 /// Look-ahead distances of the sparse observe_lanes walk: the counting and
 /// placement loops touch one entry per item and prefetch kIdLookahead items
-/// ahead; the per-lane step prefetches eleven columns and does more work per
+/// ahead; the per-lane step prefetches nine columns and does more work per
 /// lane, so it looks kLaneLookahead lanes ahead.
 constexpr std::size_t kIdLookahead = 16;
 constexpr std::size_t kLaneLookahead = 8;
@@ -47,16 +47,43 @@ DetectorBank::Family family_enum(std::string_view canonical, bool* accelerate) {
 
 }  // namespace
 
-DetectorBank::DetectorBank(std::string_view family) {
-  const DetectorDescriptor& descriptor = DetectorRegistry::instance().at(family);
-  if (!family_is_bankable(descriptor.name)) {
+DetectorBank::DetectorBank(const DetectorConfig& config) {
+  if (!supports(config)) {
     throw std::invalid_argument(
         "DetectorBank supports the Static, SRAA, SARAA, SARAA-noaccel, CLTA and Adaptive "
         "families; got \"" +
-        descriptor.name + "\"");
+        config.family() + "\"");
   }
-  family_name_ = descriptor.name;
-  family_ = family_enum(family_name_, &accelerate_);
+  validate_config(config);
+  family_ = family_enum(config.family(), &accelerate_);
+
+  // A family without a parameter keeps its default: n = 1 for Static,
+  // K = D = 1 for CLTA (which has no cascade).
+  if (config.has("n")) n_ = config.get_count("n");
+  if (config.has("K")) bucket_count_ = config.get_count("K");
+  if (config.has("D")) depth_count_ = static_cast<std::int64_t>(config.get_count("D"));
+  const double z = config.has("z") ? config.get("z") : 0.0;
+  std::uint64_t shift_window = 0;
+  if (family_ == Family::kAdaptive) {
+    shift_window = config.get_count("w");
+    shift_t_ = config.get("t");
+    shift_h_ = config.get_count("h");
+  }
+  // The window/cascade state lives in doubles; every reachable value is an
+  // exact integer as long as the configured counts are.
+  REJUV_EXPECT(n_ < (1ull << 53) && bucket_count_ < (1ull << 53) && shift_window < (1ull << 53),
+               "bank parameters exceed 2^53");
+  shift_w_ = static_cast<double>(shift_window);
+  buckets_ = static_cast<double>(bucket_count_);
+  depth_ = static_cast<double>(depth_count_);
+  baseline_ = config.baseline;
+  name_ = describe(config);
+
+  // SARAA starts at bucket 0 of its n-scaled targets (z is 0 there), CLTA
+  // at its fixed quantile threshold, the rest at bucket 0's target.
+  initial_target_ = family_ == Family::kSaraa || family_ == Family::kClta
+                        ? baseline_.scaled_target(z, static_cast<std::size_t>(n_))
+                        : baseline_.bucket_target(0);
 }
 
 bool DetectorBank::supports(std::string_view family) noexcept {
@@ -92,99 +119,33 @@ void DetectorBank::check_lane(std::size_t lane) const {
   REJUV_EXPECT(lane < lanes(), "bank lane index out of range");
 }
 
-void DetectorBank::add_lanes(const DetectorConfig& config, std::size_t count) {
-  REJUV_EXPECT(config.family() == family_name_,
-               "bank holds " + family_name_ + " lanes; config is " + config.family());
-  validate_config(config);
-  validate(config.baseline);
-
-  std::uint64_t n = 1;
-  std::uint64_t buckets = 1;
-  std::int64_t depth = 1;
-  double z = 0.0;
-  switch (family_) {
-    case Family::kStatic:
-      buckets = config.get_count("K");
-      depth = static_cast<std::int64_t>(config.get_count("D"));
-      break;
-    case Family::kSraa:
-    case Family::kSaraa:
-    case Family::kAdaptive:
-      n = config.get_count("n");
-      buckets = config.get_count("K");
-      depth = static_cast<std::int64_t>(config.get_count("D"));
-      break;
-    case Family::kClta:
-      n = config.get_count("n");
-      z = config.get("z");
-      break;
-  }
-  std::uint64_t shift_window = 0;
-  double shift_t = 0.0;
-  std::uint64_t history = 0;
-  if (family_ == Family::kAdaptive) {
-    shift_window = config.get_count("w");
-    shift_t = config.get("t");
-    history = config.get_count("h");
-  }
-  // The window/cascade state lives in doubles; every reachable value is an
-  // exact integer as long as the configured counts are.
-  REJUV_EXPECT(n < (1ull << 53) && buckets < (1ull << 53) && shift_window < (1ull << 53),
-               "bank parameters exceed 2^53");
-
-  const Baseline baseline = config.baseline;
-  double target = 0.0;
-  switch (family_) {
-    case Family::kStatic:
-    case Family::kSraa:
-    case Family::kAdaptive:
-      target = baseline.bucket_target(0);
-      break;
-    case Family::kSaraa:
-      target = baseline.scaled_target(0.0, static_cast<std::size_t>(n));
-      break;
-    case Family::kClta:
-      target = baseline.scaled_target(z, static_cast<std::size_t>(n));
-      break;
-  }
-
-  // Everything above may throw; nothing below does short of allocation
-  // failure. target_ defines lanes(), so it grows last.
+void DetectorBank::add_lanes(std::size_t count) {
+  // target_ defines lanes(), so it grows last.
   const std::size_t first = lanes();
   const std::size_t lane_count = first + count;
-  mu_.resize(lane_count, baseline.mean);
-  sigma_.resize(lane_count, baseline.stddev);
-  norig_.resize(lane_count, n);
-  buckets_u_.resize(lane_count, buckets);
-  depth_i_.resize(lane_count, depth);
-  zq_.resize(lane_count, z);
-  cur_n_.resize(lane_count, n);
+  const auto n = static_cast<double>(n_);
+  cur_n_.resize(lane_count, n_);
 
   sum_.resize(lane_count, 0.0);
   count_.resize(lane_count, 0.0);
-  wcur_.resize(lane_count, static_cast<double>(n));
-  wnext_.resize(lane_count, static_cast<double>(n));
+  wcur_.resize(lane_count, n);
+  wnext_.resize(lane_count, n);
   fill_.resize(lane_count, 0.0);
   bucket_.resize(lane_count, 0.0);
-  depth_.resize(lane_count, static_cast<double>(depth));
-  buckets_.resize(lane_count, static_cast<double>(buckets));
   last_avg_.resize(lane_count, 0.0);
   observations_.resize(lane_count, 0);
 
   if (family_ == Family::kAdaptive) {
-    cfg_mu_.resize(lane_count, baseline.mean);
-    cfg_sigma_.resize(lane_count, baseline.stddev);
-    shift_w_.resize(lane_count, static_cast<double>(shift_window));
-    shift_t_.resize(lane_count, shift_t);
-    shift_h_.resize(lane_count, history);
+    mu_.resize(lane_count, baseline_.mean);
+    sigma_.resize(lane_count, baseline_.stddev);
     shift_count_.resize(lane_count, 0.0);
     shift_sum_.resize(lane_count, 0.0);
     shift_sumsq_.resize(lane_count, 0.0);
     shift_means_.resize(lane_count);
     shift_vars_.resize(lane_count);
     for (std::size_t lane = first; lane < lane_count; ++lane) {
-      shift_means_[lane].reserve(history);
-      shift_vars_[lane].reserve(history);
+      shift_means_[lane].reserve(shift_h_);
+      shift_vars_[lane].reserve(shift_h_);
     }
     recalibrations_.resize(lane_count, 0);
   }
@@ -194,11 +155,11 @@ void DetectorBank::add_lanes(const DetectorConfig& config, std::size_t count) {
   lane_fill_.resize(lane_count, 0);
   lane_offset_.resize(lane_count, 0);
   row_buf_.resize(lane_count, 0.0);
-  target_.resize(lane_count, target);
+  target_.resize(lane_count, initial_target_);
 }
 
-std::size_t DetectorBank::add_lane(const DetectorConfig& config) {
-  add_lanes(config, 1);
+std::size_t DetectorBank::add_lane() {
+  add_lanes(1);
   return lanes() - 1;
 }
 
@@ -212,18 +173,18 @@ DetectorBank::Transition DetectorBank::cascade_step(std::size_t lane, bool excee
   double f = fill_[lane] + (exceeded ? 1.0 : -1.0);
   double b = bucket_[lane];
   Transition transition = Transition::kNone;
-  if (f > depth_[lane]) {
+  if (f > depth_) {
     f = 0.0;
     b += 1.0;
     transition = Transition::kEscalated;
   }
   if (f < 0.0 && b > 0.0) {
-    f = depth_[lane];
+    f = depth_;
     b -= 1.0;
     transition = Transition::kDeescalated;
   }
   if (f < 0.0 && b == 0.0) f = 0.0;
-  if (b == buckets_[lane]) {
+  if (b == buckets_) {
     fill_[lane] = 0.0;
     bucket_[lane] = 0.0;
     return Transition::kTriggered;
@@ -234,7 +195,7 @@ DetectorBank::Transition DetectorBank::cascade_step(std::size_t lane, bool excee
 }
 
 void DetectorBank::refresh_target(std::size_t lane) {
-  const Baseline baseline{mu_[lane], sigma_[lane]};
+  const Baseline baseline = lane_baseline(lane);
   switch (family_) {
     case Family::kStatic:
     case Family::kSraa:
@@ -278,7 +239,7 @@ Decision DetectorBank::step(std::size_t lane, double value, obs::Tracer* tracer)
           break;
         case Transition::kTriggered:
           tracer->detector_triggered(value, target, bucket_before,
-                                     static_cast<std::int32_t>(buckets_u_[lane]));
+                                     static_cast<std::int32_t>(bucket_count_));
           break;
         case Transition::kNone:
           break;
@@ -301,7 +262,7 @@ Decision DetectorBank::step(std::size_t lane, double value, obs::Tracer* tracer)
     shift_sum_[lane] += value;
     shift_sumsq_[lane] += value * value;
     shift_count_[lane] += 1.0;
-    if (shift_count_[lane] == shift_w_[lane]) complete_shift_window(lane);
+    if (shift_count_[lane] == shift_w_) complete_shift_window(lane);
     return decision;
   }
 
@@ -320,7 +281,7 @@ Decision DetectorBank::step(std::size_t lane, double value, obs::Tracer* tracer)
     const bool exceeded = average > threshold;
     if (tracer != nullptr) {
       tracer->sample(average, threshold, exceeded, /*bucket=*/-1, /*fill=*/0,
-                     static_cast<std::uint32_t>(norig_[lane]));
+                     static_cast<std::uint32_t>(n_));
       if (exceeded) tracer->detector_triggered(average, threshold, /*bucket=*/-1, /*count=*/1);
     }
     // Clta::observe resets the window on a trigger; at a block boundary
@@ -347,9 +308,9 @@ Decision DetectorBank::step(std::size_t lane, double value, obs::Tracer* tracer)
     case Transition::kEscalated:
     case Transition::kDeescalated:
       if (accelerate_) {
-        cur_n_[lane] = saraa_sample_size(static_cast<std::size_t>(norig_[lane]),
+        cur_n_[lane] = saraa_sample_size(static_cast<std::size_t>(n_),
                                          static_cast<std::size_t>(bucket_[lane]),
-                                         static_cast<std::size_t>(buckets_u_[lane]));
+                                         static_cast<std::size_t>(bucket_count_));
         // set_window at a block boundary (count == 0): both lengths change.
         wnext_[lane] = static_cast<double>(cur_n_[lane]);
         wcur_[lane] = wnext_[lane];
@@ -367,7 +328,7 @@ Decision DetectorBank::step(std::size_t lane, double value, obs::Tracer* tracer)
       }
       return Decision::kContinue;
     case Transition::kTriggered:
-      cur_n_[lane] = norig_[lane];
+      cur_n_[lane] = n_;
       wnext_[lane] = static_cast<double>(cur_n_[lane]);
       wcur_[lane] = wnext_[lane];
       count_[lane] = 0.0;
@@ -375,7 +336,7 @@ Decision DetectorBank::step(std::size_t lane, double value, obs::Tracer* tracer)
       refresh_target(lane);
       if (tracer != nullptr) {
         tracer->detector_triggered(average, target, bucket_before,
-                                   static_cast<std::int32_t>(buckets_u_[lane]));
+                                   static_cast<std::int32_t>(bucket_count_));
       }
       return Decision::kRejuvenate;
   }
@@ -404,21 +365,21 @@ Decision DetectorBank::sraa_step(std::size_t lane, double value, obs::Tracer* tr
   if (tracer != nullptr) [[unlikely]] {
     tracer->sample(average, target, exceeded, static_cast<std::int32_t>(bucket_[lane]),
                    static_cast<std::int32_t>(fill_[lane]),
-                   static_cast<std::uint32_t>(norig_[lane]));
+                   static_cast<std::uint32_t>(n_));
     switch (transition) {
       case Transition::kEscalated:
         tracer->escalated(static_cast<std::int32_t>(bucket_[lane]),
                           static_cast<std::int32_t>(fill_[lane]),
-                          static_cast<std::uint32_t>(norig_[lane]));
+                          static_cast<std::uint32_t>(n_));
         break;
       case Transition::kDeescalated:
         tracer->deescalated(static_cast<std::int32_t>(bucket_[lane]),
                             static_cast<std::int32_t>(fill_[lane]),
-                            static_cast<std::uint32_t>(norig_[lane]));
+                            static_cast<std::uint32_t>(n_));
         break;
       case Transition::kTriggered:
         tracer->detector_triggered(average, target, bucket_before,
-                                   static_cast<std::int32_t>(buckets_u_[lane]));
+                                   static_cast<std::int32_t>(bucket_count_));
         break;
       case Transition::kNone:
         break;
@@ -449,7 +410,7 @@ void DetectorBank::complete_shift_window(std::size_t lane) {
   shift_sumsq_[lane] = 0.0;
   std::vector<double>& means = shift_means_[lane];
   std::vector<double>& variances = shift_vars_[lane];
-  const auto history = static_cast<std::size_t>(shift_h_[lane]);
+  const auto history = static_cast<std::size_t>(shift_h_);
   if (means.size() == history) {
     means.erase(means.begin());
     variances.erase(variances.begin());
@@ -461,7 +422,7 @@ void DetectorBank::complete_shift_window(std::size_t lane) {
   double grand_mean = 0.0;
   for (const double m : means) grand_mean += m;
   grand_mean /= static_cast<double>(means.size());
-  if (std::abs(grand_mean - mu_[lane]) <= shift_t_[lane] * sigma_[lane]) return;
+  if (std::abs(grand_mean - mu_[lane]) <= shift_t_ * sigma_[lane]) return;
   if (stats::mann_kendall(means).increasing()) return;
 
   double mean_variance = 0.0;
@@ -478,7 +439,7 @@ void DetectorBank::complete_shift_window(std::size_t lane) {
   fill_[lane] = 0.0;
   count_[lane] = 0.0;
   sum_[lane] = 0.0;
-  wcur_[lane] = static_cast<double>(norig_[lane]);
+  wcur_[lane] = static_cast<double>(n_);
   wnext_[lane] = wcur_[lane];
   last_avg_[lane] = 0.0;
   refresh_target(lane);
@@ -505,10 +466,10 @@ void DetectorBank::advance_row(const double* row) {
   std::uint32_t any = 0;
   switch (family_) {
     case Family::kStatic: {
-      bank_kernel::StaticRow kernel_row{lane_count,      row,
-                                        target_.data(),  fill_.data(),
-                                        bucket_.data(),  depth_.data(),
-                                        buckets_.data(), last_avg_.data(),
+      bank_kernel::StaticRow kernel_row{lane_count,     row,
+                                        target_.data(), fill_.data(),
+                                        bucket_.data(), depth_,
+                                        buckets_,       last_avg_.data(),
                                         changed_flags_.data(), trig_flags_.data()};
 #if defined(REJUV_BANK_AVX2)
       any = simd_active() ? bank_kernel::static_row_avx2(kernel_row)
@@ -530,8 +491,8 @@ void DetectorBank::advance_row(const double* row) {
                                                target_.data(),
                                                fill_.data(),
                                                bucket_.data(),
-                                               depth_.data(),
-                                               buckets_.data(),
+                                               depth_,
+                                               buckets_,
                                                last_avg_.data(),
                                                changed_flags_.data(),
                                                trig_flags_.data()};
@@ -588,7 +549,7 @@ void DetectorBank::adaptive_post_row(const double* row, std::uint32_t any) {
     shift_sum[l] += value;
     shift_sumsq[l] += value * value;
     shift_count[l] += 1.0;
-    if (shift_count[l] == shift_w_[l]) complete_shift_window(l);
+    if (shift_count[l] == shift_w_) complete_shift_window(l);
   }
 }
 
@@ -599,11 +560,11 @@ void DetectorBank::fixup_changed_lanes() {
     if (family_ == Family::kSaraa) {
       const bool triggered = trig_flags_[l] != 0;
       if (triggered) {
-        cur_n_[l] = norig_[l];
+        cur_n_[l] = n_;
       } else if (accelerate_) {
-        cur_n_[l] = saraa_sample_size(static_cast<std::size_t>(norig_[l]),
+        cur_n_[l] = saraa_sample_size(static_cast<std::size_t>(n_),
                                       static_cast<std::size_t>(bucket_[l]),
-                                      static_cast<std::size_t>(buckets_u_[l]));
+                                      static_cast<std::size_t>(bucket_count_));
       }
       if (triggered || accelerate_) {
         // A transition only happens at a block boundary, where the kernel
@@ -666,8 +627,6 @@ void DetectorBank::prefetch_lane(std::size_t lane) const noexcept {
   common::prefetch_write(last_avg_.data() + lane);
   common::prefetch_write(fill_.data() + lane);
   common::prefetch_write(bucket_.data() + lane);
-  common::prefetch_read(depth_.data() + lane);
-  common::prefetch_read(buckets_.data() + lane);
 }
 
 void DetectorBank::note_touched(std::span<const std::uint32_t> lane_ids) {
@@ -760,7 +719,7 @@ void DetectorBank::observe_lanes(std::span<const std::uint32_t> lane_ids,
 
 // ---------------------------------------------------------------------------
 // Per-lane introspection and checkpointing — byte-identical to the scalar
-// detector of the lane's configuration.
+// detector of the bank's configuration.
 // ---------------------------------------------------------------------------
 
 std::uint64_t DetectorBank::observations(std::size_t lane) const {
@@ -770,47 +729,28 @@ std::uint64_t DetectorBank::observations(std::size_t lane) const {
 
 Baseline DetectorBank::baseline(std::size_t lane) const {
   check_lane(lane);
-  return Baseline{mu_[lane], sigma_[lane]};
+  return lane_baseline(lane);
 }
 
-std::string DetectorBank::name(std::size_t lane) const {
+const std::string& DetectorBank::name(std::size_t lane) const {
   check_lane(lane);
-  switch (family_) {
-    case Family::kStatic:
-      return "Static(K=" + std::to_string(buckets_u_[lane]) +
-             ",D=" + std::to_string(depth_i_[lane]) + ")";
-    case Family::kSraa:
-      return "SRAA(n=" + std::to_string(norig_[lane]) + ",K=" + std::to_string(buckets_u_[lane]) +
-             ",D=" + std::to_string(depth_i_[lane]) + ")";
-    case Family::kSaraa:
-      return std::string("SARAA") + (accelerate_ ? "" : "-noaccel") +
-             "(n=" + std::to_string(norig_[lane]) + ",K=" + std::to_string(buckets_u_[lane]) +
-             ",D=" + std::to_string(depth_i_[lane]) + ")";
-    case Family::kClta:
-      return "CLTA(n=" + std::to_string(norig_[lane]) + ",z=" + spec_number(zq_[lane]) + ")";
-    case Family::kAdaptive:
-      return "Adaptive(n=" + std::to_string(norig_[lane]) +
-             ",K=" + std::to_string(buckets_u_[lane]) + ",D=" + std::to_string(depth_i_[lane]) +
-             ",w=" + std::to_string(static_cast<std::uint64_t>(shift_w_[lane])) +
-             ",t=" + spec_number(shift_t_[lane]) + ",h=" + std::to_string(shift_h_[lane]) + ")";
-  }
-  return {};
+  return name_;
 }
 
 obs::DetectorSnapshot DetectorBank::snapshot(std::size_t lane) const {
   check_lane(lane);
   obs::DetectorSnapshot snapshot;
-  snapshot.algorithm = name(lane);
-  snapshot.baseline_mean = mu_[lane];
-  snapshot.baseline_stddev = sigma_[lane];
-  const Baseline baseline{mu_[lane], sigma_[lane]};
+  snapshot.algorithm = name_;
+  const Baseline baseline = lane_baseline(lane);
+  snapshot.baseline_mean = baseline.mean;
+  snapshot.baseline_stddev = baseline.stddev;
   switch (family_) {
     case Family::kStatic:
       snapshot.has_cascade = true;
       snapshot.bucket = static_cast<std::int32_t>(bucket_[lane]);
-      snapshot.bucket_count = static_cast<std::int32_t>(buckets_u_[lane]);
+      snapshot.bucket_count = static_cast<std::int32_t>(bucket_count_);
       snapshot.fill = static_cast<std::int32_t>(fill_[lane]);
-      snapshot.depth = static_cast<std::int32_t>(depth_i_[lane]);
+      snapshot.depth = static_cast<std::int32_t>(depth_count_);
       snapshot.sample_size = 1;
       snapshot.last_average = last_avg_[lane];
       snapshot.current_target = baseline.bucket_target(static_cast<std::size_t>(bucket_[lane]));
@@ -819,10 +759,10 @@ obs::DetectorSnapshot DetectorBank::snapshot(std::size_t lane) const {
     case Family::kAdaptive:  // the inner SRAA's snapshot, against the active baseline
       snapshot.has_cascade = true;
       snapshot.bucket = static_cast<std::int32_t>(bucket_[lane]);
-      snapshot.bucket_count = static_cast<std::int32_t>(buckets_u_[lane]);
+      snapshot.bucket_count = static_cast<std::int32_t>(bucket_count_);
       snapshot.fill = static_cast<std::int32_t>(fill_[lane]);
-      snapshot.depth = static_cast<std::int32_t>(depth_i_[lane]);
-      snapshot.sample_size = static_cast<std::uint32_t>(norig_[lane]);
+      snapshot.depth = static_cast<std::int32_t>(depth_count_);
+      snapshot.sample_size = static_cast<std::uint32_t>(n_);
       snapshot.pending = static_cast<std::uint32_t>(count_[lane]);
       snapshot.last_average = last_avg_[lane];
       snapshot.current_target = baseline.bucket_target(static_cast<std::size_t>(bucket_[lane]));
@@ -830,9 +770,9 @@ obs::DetectorSnapshot DetectorBank::snapshot(std::size_t lane) const {
     case Family::kSaraa:
       snapshot.has_cascade = true;
       snapshot.bucket = static_cast<std::int32_t>(bucket_[lane]);
-      snapshot.bucket_count = static_cast<std::int32_t>(buckets_u_[lane]);
+      snapshot.bucket_count = static_cast<std::int32_t>(bucket_count_);
       snapshot.fill = static_cast<std::int32_t>(fill_[lane]);
-      snapshot.depth = static_cast<std::int32_t>(depth_i_[lane]);
+      snapshot.depth = static_cast<std::int32_t>(depth_count_);
       snapshot.sample_size = static_cast<std::uint32_t>(cur_n_[lane]);
       snapshot.pending = static_cast<std::uint32_t>(count_[lane]);
       snapshot.last_average = last_avg_[lane];
@@ -840,7 +780,7 @@ obs::DetectorSnapshot DetectorBank::snapshot(std::size_t lane) const {
           baseline.scaled_target(bucket_[lane], static_cast<std::size_t>(cur_n_[lane]));
       break;
     case Family::kClta:
-      snapshot.sample_size = static_cast<std::uint32_t>(norig_[lane]);
+      snapshot.sample_size = static_cast<std::uint32_t>(n_);
       snapshot.pending = static_cast<std::uint32_t>(count_[lane]);
       snapshot.last_average = last_avg_[lane];
       snapshot.current_target = target_[lane];
@@ -852,7 +792,7 @@ obs::DetectorSnapshot DetectorBank::snapshot(std::size_t lane) const {
 DetectorState DetectorBank::save_state(std::size_t lane) const {
   check_lane(lane);
   DetectorState state;
-  state.algorithm = name(lane);
+  state.algorithm = name_;
   switch (family_) {
     case Family::kStatic:
       state.has_cascade = true;
@@ -904,9 +844,9 @@ DetectorState DetectorBank::save_state(std::size_t lane) const {
 
 void DetectorBank::restore_state(std::size_t lane, const DetectorState& state) {
   check_lane(lane);
-  REJUV_EXPECT(state.algorithm == name(lane), "checkpoint algorithm mismatch: saved \"" +
-                                                  state.algorithm + "\", restoring into \"" +
-                                                  name(lane) + "\"");
+  REJUV_EXPECT(state.algorithm == name_, "checkpoint algorithm mismatch: saved \"" +
+                                              state.algorithm + "\", restoring into \"" +
+                                              name_ + "\"");
   if (family_ == Family::kAdaptive) {
     // Adaptive::restore_state's extension validation, verbatim; the active
     // baseline must land in mu_/sigma_ before the shared tail recomputes
@@ -915,8 +855,8 @@ void DetectorBank::restore_state(std::size_t lane, const DetectorState& state) {
                  "Adaptive checkpoint extension tag mismatch: \"" + state.extra_tag + "\"");
     REJUV_EXPECT(state.extra_u64.size() == 3, "Adaptive checkpoint needs 3 counters");
     const std::uint64_t history_size = state.extra_u64[1];
-    REJUV_EXPECT(history_size <= shift_h_[lane], "Adaptive checkpoint history overflows h");
-    REJUV_EXPECT(static_cast<double>(state.extra_u64[0]) < shift_w_[lane],
+    REJUV_EXPECT(history_size <= shift_h_, "Adaptive checkpoint history overflows h");
+    REJUV_EXPECT(static_cast<double>(state.extra_u64[0]) < shift_w_,
                  "Adaptive checkpoint window fill out of range");
     REJUV_EXPECT(state.extra_f64.size() == 4 + 2 * history_size,
                  "Adaptive checkpoint payload size mismatch");
@@ -935,8 +875,8 @@ void DetectorBank::restore_state(std::size_t lane, const DetectorState& state) {
   const bool has_cascade = family_ != Family::kClta;
   const bool has_window = family_ != Family::kStatic;
   if (has_cascade) {
-    REJUV_EXPECT(state.bucket < buckets_u_[lane], "restored bucket pointer out of range");
-    REJUV_EXPECT(state.fill >= 0 && state.fill <= depth_i_[lane], "restored fill out of range");
+    REJUV_EXPECT(state.bucket < bucket_count_, "restored bucket pointer out of range");
+    REJUV_EXPECT(state.fill >= 0 && state.fill <= depth_count_, "restored fill out of range");
     bucket_[lane] = static_cast<double>(state.bucket);
     fill_[lane] = static_cast<double>(state.fill);
   }
@@ -974,7 +914,7 @@ void DetectorBank::reset(std::size_t lane) {
     case Family::kSaraa:
       bucket_[lane] = 0.0;
       fill_[lane] = 0.0;
-      cur_n_[lane] = norig_[lane];
+      cur_n_[lane] = n_;
       wnext_[lane] = static_cast<double>(cur_n_[lane]);
       wcur_[lane] = wnext_[lane];
       count_[lane] = 0.0;
@@ -989,15 +929,15 @@ void DetectorBank::reset(std::size_t lane) {
       // Adaptive::reset — configured baseline back in force, shift monitor
       // cleared, a fresh inner SRAA (which is why last_avg_ drops to 0 here
       // but survives the other families' resets).
-      mu_[lane] = cfg_mu_[lane];
-      sigma_[lane] = cfg_sigma_[lane];
+      mu_[lane] = baseline_.mean;
+      sigma_[lane] = baseline_.stddev;
       recalibrations_[lane] = 0;
       clear_shift_state(lane);
       bucket_[lane] = 0.0;
       fill_[lane] = 0.0;
       count_[lane] = 0.0;
       sum_[lane] = 0.0;
-      wcur_[lane] = static_cast<double>(norig_[lane]);
+      wcur_[lane] = static_cast<double>(n_);
       wnext_[lane] = wcur_[lane];
       last_avg_[lane] = 0.0;
       break;
@@ -1009,11 +949,12 @@ void DetectorBank::reset(std::size_t lane) {
 // BankController
 // ---------------------------------------------------------------------------
 
-BankController::BankController(std::string_view family, std::uint64_t cooldown_observations)
-    : bank_(family), cooldown_observations_(cooldown_observations) {}
+BankController::BankController(const DetectorConfig& config,
+                               std::uint64_t cooldown_observations)
+    : bank_(config), cooldown_observations_(cooldown_observations) {}
 
-void BankController::add_lanes(const DetectorConfig& config, std::size_t count) {
-  bank_.add_lanes(config, count);
+void BankController::add_lanes(std::size_t count) {
+  bank_.add_lanes(count);
   const std::size_t lane_count = bank_.lanes();
   cooldown_remaining_.resize(lane_count, 0);
   obs_offset_.resize(lane_count, 0);
@@ -1021,8 +962,8 @@ void BankController::add_lanes(const DetectorConfig& config, std::size_t count) 
   tracers_.resize(lane_count, nullptr);
 }
 
-std::size_t BankController::add_lane(const DetectorConfig& config) {
-  add_lanes(config, 1);
+std::size_t BankController::add_lane() {
+  add_lanes(1);
   return lanes() - 1;
 }
 

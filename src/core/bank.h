@@ -1,17 +1,19 @@
-// DetectorBank: a structure-of-arrays bank of same-family detectors.
+// DetectorBank: a structure-of-arrays bank of identically configured
+// detectors.
 //
 // The scalar detectors are already allocation-free at a few ns/observation,
 // but fleet-scale monitoring wants *many detectors per core*: thousands of
 // response-time streams, each with its own detector instance, advanced in
-// lockstep as interleaved batches arrive. A bank packs the per-instance
-// state of N detectors of one family (Static, SRAA, SARAA, SARAA-noaccel,
-// CLTA, Adaptive) into contiguous arrays — running window sums, block counts, bucket
-// pointers, fill counters, cached targets — and advances all lanes per
-// input row with the row kernels in bank_simd.h (AVX2/NEON intrinsics,
-// runtime-dispatched, with portable scalar loops as the fallback and the
-// reference).
+// lockstep as interleaved batches arrive. A bank holds one detector
+// configuration (one family — Static, SRAA, SARAA, SARAA-noaccel, CLTA or
+// Adaptive — with one parameter set and one SLA baseline, as the paper runs
+// one per SLA) and packs the per-instance *state* of N such detectors into
+// contiguous arrays — running window sums, block counts, bucket pointers,
+// fill counters, cached targets — and advances all lanes per input row with
+// the row kernels in bank_simd.h (AVX2/NEON intrinsics, runtime-dispatched,
+// with portable scalar loops as the fallback and the reference).
 //
-// The contract is bit-identity: for every (family, config, stream), a bank
+// The contract is bit-identity: for every (config, stream), a bank
 // lane makes byte-identical decisions to an independent scalar detector —
 // the same Decision per observation, the same escalation timestamps, the
 // same snapshot() fields, and checkpoint states that round-trip through the
@@ -63,10 +65,12 @@ class DetectorBank {
   /// lane, so recalibrated lanes stay bit-identical to the scalar twin.
   enum class Family { kStatic, kSraa, kSaraa, kClta, kAdaptive };
 
-  /// An empty bank for `family` ("Static", "SRAA", "SARAA", "SARAA-noaccel",
-  /// "CLTA" or "Adaptive"; case-insensitive like the registry). Throws
-  /// std::invalid_argument for unsupported families.
-  explicit DetectorBank(std::string_view family);
+  /// An empty bank whose lanes all run `config` ("Static", "SRAA", "SARAA",
+  /// "SARAA-noaccel", "CLTA" or "Adaptive"). The config is validated once,
+  /// here, like make_detector (the baseline and parameters must be valid,
+  /// and counts must stay below 2^53); std::invalid_argument for an
+  /// unsupported family or an invalid config.
+  explicit DetectorBank(const DetectorConfig& config);
 
   /// True when a bank can hold detectors of `family` / `config`.
   static bool supports(std::string_view family) noexcept;
@@ -76,21 +80,14 @@ class DetectorBank {
   /// with GCC/Clang).
   static bool simd_compiled() noexcept;
 
-  /// Appends `count` detector instances configured by `config`, as lanes
-  /// lanes() .. lanes() + count - 1. The config is validated once per call,
-  /// like make_detector (the family must match the bank's, the baseline and
-  /// parameters must be valid, and counts must stay below 2^53), and its
-  /// parameters are resolved once; each new lane then costs a few stores.
-  /// Every check runs before anything grows, so a throw
-  /// (std::invalid_argument) leaves lanes() unchanged. `count` = 0 only
-  /// validates. Lanes of one bank may differ in parameters and baseline:
-  /// call once per config.
-  void add_lanes(const DetectorConfig& config, std::size_t count);
-  /// add_lanes(config, 1); returns the new lane index.
-  std::size_t add_lane(const DetectorConfig& config);
+  /// Appends `count` fresh detectors of the bank's config, as lanes
+  /// lanes() .. lanes() + count - 1. Nothing is validated or parsed: each
+  /// new lane only grows the state arrays by a few stores.
+  void add_lanes(std::size_t count);
+  /// add_lanes(1); returns the new lane index.
+  std::size_t add_lane();
 
   std::size_t lanes() const noexcept { return target_.size(); }
-  const std::string& family_name() const noexcept { return family_name_; }
   Family family() const noexcept { return family_; }
 
   /// Feeds one observation to one lane — the scalar reference path, used
@@ -137,9 +134,10 @@ class DetectorBank {
   std::uint64_t observations(std::size_t lane) const;
 
   /// Per-lane equivalents of the Detector interface; each matches the
-  /// scalar detector of the lane's configuration byte for byte (name
+  /// scalar detector of the bank's configuration byte for byte (name
   /// string, snapshot fields, DetectorState fields, restore validation).
-  std::string name(std::size_t lane) const;
+  /// Every lane has the same name, describe(config).
+  const std::string& name(std::size_t lane) const;
   Baseline baseline(std::size_t lane) const;
   obs::DetectorSnapshot snapshot(std::size_t lane) const;
   DetectorState save_state(std::size_t lane) const;
@@ -163,6 +161,11 @@ class DetectorBank {
   void adaptive_post_row(const double* row, std::uint32_t any);
   void clear_shift_state(std::size_t lane);
   void complete_shift_window(std::size_t lane);
+  /// The baseline `lane` is judged against: its own active one for
+  /// Adaptive (recalibrated on workload shifts), the bank's otherwise.
+  Baseline lane_baseline(std::size_t lane) const noexcept {
+    return family_ == Family::kAdaptive ? Baseline{mu_[lane], sigma_[lane]} : baseline_;
+  }
   void refresh_target(std::size_t lane);
   void advance_row(const double* row);
   void fixup_changed_lanes();
@@ -176,26 +179,29 @@ class DetectorBank {
 
   Family family_;
   bool accelerate_ = false;  ///< SARAA vs SARAA-noaccel
-  std::string family_name_;  ///< canonical registry name
   bool force_scalar_ = false;
 
-  // Per-lane configuration (cold; natural types for naming/validation).
-  std::vector<double> mu_;
-  std::vector<double> sigma_;
-  std::vector<std::uint64_t> norig_;  ///< n (initial n for SARAA; 1 for Static)
-  std::vector<std::uint64_t> buckets_u_;
-  std::vector<std::int64_t> depth_i_;
-  std::vector<double> zq_;  ///< CLTA quantile z
+  // The bank's one configuration, shared by every lane (cold; natural types
+  // for naming and validation, doubles where the kernels compare).
+  std::string name_;           ///< describe(config), the scalar detector's name()
+  Baseline baseline_;          ///< the configured SLA baseline
+  std::uint64_t n_ = 1;        ///< n (initial n for SARAA; 1 for Static)
+  std::uint64_t bucket_count_ = 1;  ///< K
+  std::int64_t depth_count_ = 1;    ///< D
+  double buckets_ = 1.0;       ///< K as the kernels read it
+  double depth_ = 1.0;         ///< D as the kernels read it
+  double initial_target_ = 0.0;  ///< a fresh lane's target
+  double shift_w_ = 0.0;       ///< Adaptive w, exact small integer
+  double shift_t_ = 0.0;       ///< Adaptive t, grand-mean departure in sigma
+  std::uint64_t shift_h_ = 0;  ///< Adaptive h, trend-vote history length
+
   std::vector<std::uint64_t> cur_n_;  ///< SARAA schedule-controlled n
 
-  // Adaptive-only lanes (filled when family_ == kAdaptive; mu_/sigma_ then
-  // hold the *active* baseline, recalibrated on workload shifts, and these
-  // keep the configured one for reset()).
-  std::vector<double> cfg_mu_;
-  std::vector<double> cfg_sigma_;
-  std::vector<double> shift_w_;          ///< w, exact small integer
-  std::vector<double> shift_t_;          ///< t, grand-mean departure in sigma
-  std::vector<std::uint64_t> shift_h_;   ///< h, trend-vote history length
+  // Adaptive-only lanes (filled when family_ == kAdaptive): mu_/sigma_ hold
+  // each lane's *active* baseline, recalibrated on workload shifts; reset()
+  // puts baseline_ back in force.
+  std::vector<double> mu_;
+  std::vector<double> sigma_;
   std::vector<double> shift_count_;      ///< shift window fill (hot)
   std::vector<double> shift_sum_;        ///< shift window sum (hot)
   std::vector<double> shift_sumsq_;      ///< shift window sum of squares (hot)
@@ -212,8 +218,6 @@ class DetectorBank {
   std::vector<double> target_;  ///< bucket target / CLTA threshold in force
   std::vector<double> fill_;
   std::vector<double> bucket_;
-  std::vector<double> depth_;
-  std::vector<double> buckets_;
   std::vector<double> last_avg_;
   std::vector<std::uint64_t> observations_;
 
@@ -241,15 +245,16 @@ class DetectorBank {
 /// so a lane's checkpoint record is the scalar controller's record.
 class BankController {
  public:
+  /// Every lane runs `config` (validated as by DetectorBank).
   /// `cooldown_observations`: as RejuvenationController — observations
   /// after a trigger during which the lane's detector is not fed.
-  BankController(std::string_view family, std::uint64_t cooldown_observations);
+  BankController(const DetectorConfig& config, std::uint64_t cooldown_observations);
 
   /// Adds `count` lanes (see DetectorBank::add_lanes) with no tracer
-  /// attached; a throw leaves lanes() unchanged.
-  void add_lanes(const DetectorConfig& config, std::size_t count);
-  /// add_lanes(config, 1); returns the new lane index.
-  std::size_t add_lane(const DetectorConfig& config);
+  /// attached.
+  void add_lanes(std::size_t count);
+  /// add_lanes(1); returns the new lane index.
+  std::size_t add_lane();
 
   std::size_t lanes() const noexcept { return bank_.lanes(); }
   DetectorBank& bank() noexcept { return bank_; }

@@ -65,8 +65,8 @@ struct WindowCascadeRow {
   const double* target = nullptr;  ///< per-lane bucket target in force
   double* fill = nullptr;          ///< cascade fill d
   double* bucket = nullptr;        ///< cascade bucket pointer N
-  const double* depth = nullptr;   ///< cascade depth D
-  const double* buckets = nullptr;  ///< cascade bucket count K
+  double depth = 0.0;              ///< cascade depth D, shared by every lane
+  double buckets = 0.0;            ///< cascade bucket count K, shared by every lane
   double* last_avg = nullptr;      ///< most recent completed window average
   unsigned char* changed = nullptr;  ///< out: lane escalated/deescalated/triggered
   unsigned char* trig = nullptr;     ///< out: lane triggered rejuvenation
@@ -80,8 +80,8 @@ struct StaticRow {
   const double* target = nullptr;
   double* fill = nullptr;
   double* bucket = nullptr;
-  const double* depth = nullptr;
-  const double* buckets = nullptr;
+  double depth = 0.0;
+  double buckets = 0.0;
   double* last_avg = nullptr;
   unsigned char* changed = nullptr;
   unsigned char* trig = nullptr;
@@ -123,8 +123,8 @@ inline std::uint32_t window_cascade_row_portable(const WindowCascadeRow& r,
   const double* const target = r.target;
   double* const fill = r.fill;
   double* const bucket = r.bucket;
-  const double* const depth = r.depth;
-  const double* const buckets = r.buckets;
+  const double depth = r.depth;
+  const double buckets = r.buckets;
   double* const last_avg = r.last_avg;
   unsigned char* const changed = r.changed;
   unsigned char* const trig = r.trig;
@@ -138,14 +138,14 @@ inline std::uint32_t window_cascade_row_portable(const WindowCascadeRow& r,
     const bool exceeded = done && avg > target[l];
     double f = fill[l] + (done ? (exceeded ? 1.0 : -1.0) : 0.0);
     double b = bucket[l];
-    const bool esc = f > depth[l];
+    const bool esc = f > depth;
     f = esc ? 0.0 : f;
     b = esc ? b + 1.0 : b;
     const bool deesc = f < 0.0 && b > 0.0;
-    f = deesc ? depth[l] : f;
+    f = deesc ? depth : f;
     b = deesc ? b - 1.0 : b;
     f = f < 0.0 ? 0.0 : f;
-    const bool hit = b == buckets[l];
+    const bool hit = b == buckets;
     f = hit ? 0.0 : f;
     b = hit ? 0.0 : b;
     sum[l] = done ? 0.0 : s;
@@ -168,8 +168,8 @@ inline std::uint32_t static_row_portable(const StaticRow& r, std::size_t first =
   const double* const target = r.target;
   double* const fill = r.fill;
   double* const bucket = r.bucket;
-  const double* const depth = r.depth;
-  const double* const buckets = r.buckets;
+  const double depth = r.depth;
+  const double buckets = r.buckets;
   double* const last_avg = r.last_avg;
   unsigned char* const changed = r.changed;
   unsigned char* const trig = r.trig;
@@ -179,14 +179,14 @@ inline std::uint32_t static_row_portable(const StaticRow& r, std::size_t first =
     const bool exceeded = value > target[l];
     double f = fill[l] + (exceeded ? 1.0 : -1.0);
     double b = bucket[l];
-    const bool esc = f > depth[l];
+    const bool esc = f > depth;
     f = esc ? 0.0 : f;
     b = esc ? b + 1.0 : b;
     const bool deesc = f < 0.0 && b > 0.0;
-    f = deesc ? depth[l] : f;
+    f = deesc ? depth : f;
     b = deesc ? b - 1.0 : b;
     f = f < 0.0 ? 0.0 : f;
-    const bool hit = b == buckets[l];
+    const bool hit = b == buckets;
     f = hit ? 0.0 : f;
     b = hit ? 0.0 : b;
     last_avg[l] = value;
@@ -260,8 +260,9 @@ inline void store_flags(unsigned char* out, std::size_t l, int mask) {
 __attribute__((target("avx2"))) inline std::uint32_t window_cascade_row_avx2(
     const WindowCascadeRow& r) {
   // Hoisted member pointers: the flag stores alias everything through
-  // unsigned char*, and without the locals the compiler reloads all ten
-  // pointers from the struct on every iteration.
+  // unsigned char*, and without the locals the compiler reloads all eleven
+  // pointers from the struct on every iteration. D and K are the same for
+  // every lane, so they are broadcast once per row.
   const std::size_t lanes = r.lanes;
   const double* const values = r.values;
   double* const sum = r.sum;
@@ -271,14 +272,14 @@ __attribute__((target("avx2"))) inline std::uint32_t window_cascade_row_avx2(
   const double* const target = r.target;
   double* const fill = r.fill;
   double* const bucket = r.bucket;
-  const double* const depth_p = r.depth;
-  const double* const buckets_p = r.buckets;
   double* const last_avg = r.last_avg;
   unsigned char* const changed_p = r.changed;
   unsigned char* const trig_p = r.trig;
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d neg_one = _mm256_set1_pd(-1.0);
   const __m256d zero = _mm256_setzero_pd();
+  const __m256d depth = _mm256_set1_pd(r.depth);
+  const __m256d buckets = _mm256_set1_pd(r.buckets);
   unsigned any_changed = 0;
   unsigned any_trig = 0;
   std::size_t l = 0;
@@ -294,7 +295,6 @@ __attribute__((target("avx2"))) inline std::uint32_t window_cascade_row_avx2(
     const __m256d delta = _mm256_and_pd(done, _mm256_blendv_pd(neg_one, one, exceeded));
     __m256d f = _mm256_add_pd(_mm256_loadu_pd(fill + l), delta);
     __m256d b = _mm256_loadu_pd(bucket + l);
-    const __m256d depth = _mm256_loadu_pd(depth_p + l);
     const __m256d esc = _mm256_cmp_pd(f, depth, _CMP_GT_OQ);
     f = _mm256_andnot_pd(esc, f);
     b = _mm256_add_pd(b, _mm256_and_pd(esc, one));
@@ -303,7 +303,7 @@ __attribute__((target("avx2"))) inline std::uint32_t window_cascade_row_avx2(
     f = _mm256_blendv_pd(f, depth, deesc);
     b = _mm256_sub_pd(b, _mm256_and_pd(deesc, one));
     f = _mm256_max_pd(f, zero);
-    const __m256d hit = _mm256_cmp_pd(b, _mm256_loadu_pd(buckets_p + l), _CMP_EQ_OQ);
+    const __m256d hit = _mm256_cmp_pd(b, buckets, _CMP_EQ_OQ);
     f = _mm256_andnot_pd(hit, f);
     b = _mm256_andnot_pd(hit, b);
     _mm256_storeu_pd(sum + l, _mm256_andnot_pd(done, s));
@@ -332,14 +332,14 @@ __attribute__((target("avx2"))) inline std::uint32_t static_row_avx2(const Stati
   const double* const target = r.target;
   double* const fill = r.fill;
   double* const bucket = r.bucket;
-  const double* const depth_p = r.depth;
-  const double* const buckets_p = r.buckets;
   double* const last_avg = r.last_avg;
   unsigned char* const changed_p = r.changed;
   unsigned char* const trig_p = r.trig;
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d neg_one = _mm256_set1_pd(-1.0);
   const __m256d zero = _mm256_setzero_pd();
+  const __m256d depth = _mm256_set1_pd(r.depth);
+  const __m256d buckets = _mm256_set1_pd(r.buckets);
   unsigned any_changed = 0;
   unsigned any_trig = 0;
   std::size_t l = 0;
@@ -349,7 +349,6 @@ __attribute__((target("avx2"))) inline std::uint32_t static_row_avx2(const Stati
     const __m256d delta = _mm256_blendv_pd(neg_one, one, exceeded);
     __m256d f = _mm256_add_pd(_mm256_loadu_pd(fill + l), delta);
     __m256d b = _mm256_loadu_pd(bucket + l);
-    const __m256d depth = _mm256_loadu_pd(depth_p + l);
     const __m256d esc = _mm256_cmp_pd(f, depth, _CMP_GT_OQ);
     f = _mm256_andnot_pd(esc, f);
     b = _mm256_add_pd(b, _mm256_and_pd(esc, one));
@@ -358,7 +357,7 @@ __attribute__((target("avx2"))) inline std::uint32_t static_row_avx2(const Stati
     f = _mm256_blendv_pd(f, depth, deesc);
     b = _mm256_sub_pd(b, _mm256_and_pd(deesc, one));
     f = _mm256_max_pd(f, zero);
-    const __m256d hit = _mm256_cmp_pd(b, _mm256_loadu_pd(buckets_p + l), _CMP_EQ_OQ);
+    const __m256d hit = _mm256_cmp_pd(b, buckets, _CMP_EQ_OQ);
     f = _mm256_andnot_pd(hit, f);
     b = _mm256_andnot_pd(hit, b);
     _mm256_storeu_pd(last_avg + l, v);

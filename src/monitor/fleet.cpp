@@ -296,7 +296,6 @@ void FleetMonitor::route_records(const std::vector<wire::Record>& records) {
       if (counters_.streams != nullptr) counters_.streams->increment();
       ingest_tracer_.stream_opened(shard_index, record.stream_id);
     }
-    table_.count_received(dense);
     ++stats_.observations;
     if (counters_.observations != nullptr) counters_.observations->increment();
 

@@ -13,7 +13,7 @@ StreamTable::StreamTable(const core::DetectorConfig& config, std::size_t shards,
   controllers_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
     controllers_.push_back(
-        std::make_unique<core::BankController>(config.family(), cooldown_observations));
+        std::make_unique<core::BankController>(config_, cooldown_observations));
   }
   map_.assign(64, kEmptyEntry);
   // The slab pointer array never reallocates: workers read external_id() of
@@ -89,7 +89,7 @@ std::uint64_t StreamTable::received(std::uint32_t dense) const { return slot(den
 
 void StreamTable::ensure_lanes(std::size_t shard, std::size_t lane_count) {
   core::BankController& ctrl = *controllers_[shard];
-  if (ctrl.lanes() < lane_count) ctrl.add_lanes(config_, lane_count - ctrl.lanes());
+  if (ctrl.lanes() < lane_count) ctrl.add_lanes(lane_count - ctrl.lanes());
 }
 
 }  // namespace rejuv::monitor

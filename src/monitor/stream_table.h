@@ -16,8 +16,10 @@
 //     so slot addresses are stable (no vector reallocation) and 100k
 //     streams cost 25 slab mallocs instead of 100k node allocations;
 //   * detector state: packed in the bank controllers' structure-of-arrays
-//     lanes (src/core/bank.h) — ~200 bytes per stream, contiguous per
-//     shard, advanced by the vectorized row kernels.
+//     lanes (src/core/bank.h) — 154 heap bytes per SRAA stream, up to ~200
+//     with vector regrowth slack (docs/BANKS.md), contiguous per shard,
+//     advanced by the vectorized row kernels. The detector config is held
+//     once per shard, not per stream.
 //
 // Thread contract: the naming side (acquire/find/received) is single-owner
 // — only the ingest thread touches it. external_id() of an

@@ -1,5 +1,5 @@
 // Structure-fuzz for DetectorBank: 500 seeded cases drive a bank of a
-// random family through random interleavings of lane adds, single-value
+// random config through random interleavings of lane adds, single-value
 // feeds, per-lane batches, lockstep rows, scatter/gather batches, resets and
 // checkpoint round-trips, with an independent scalar detector per lane as
 // the shadow model — after every case the trigger histories, snapshots and
@@ -111,10 +111,11 @@ void expect_state_eq(const core::DetectorState& a, const core::DetectorState& b,
 void run_fuzz_case(int index, bool force_scalar) {
   common::RngStream rng(kRootSeed, static_cast<std::uint64_t>(index) * 2 + (force_scalar ? 1 : 0));
   const char* family = kFamilies[pick(rng, std::size(kFamilies))];
-  core::DetectorBank bank(family);
+  const core::DetectorConfig config = random_config(family, rng);
+  core::DetectorBank bank(config);
   bank.force_scalar(force_scalar);
   std::vector<ShadowLane> shadow;
-  const std::string context = std::string(family) + " case " + std::to_string(index) +
+  const std::string context = core::describe(config) + " case " + std::to_string(index) +
                               (force_scalar ? " portable" : " simd");
 
   const std::size_t ops = 20 + pick(rng, 40);
@@ -122,8 +123,7 @@ void run_fuzz_case(int index, bool force_scalar) {
     switch (pick(rng, 7)) {
       case 0: {  // add a lane
         if (bank.lanes() >= kMaxLanes) break;
-        const core::DetectorConfig config = random_config(family, rng);
-        const std::size_t lane = bank.add_lane(config);
+        const std::size_t lane = bank.add_lane();
         ASSERT_EQ(lane, shadow.size()) << context;
         shadow.push_back({core::make_detector(config), 0, {}});
         break;
@@ -186,9 +186,14 @@ void run_fuzz_case(int index, bool force_scalar) {
         const std::size_t lane = pick(rng, bank.lanes());
         // The scalar detector must accept the bank's serialized state and
         // vice versa — the restore surfaces are interchangeable.
-        auto twin = core::make_detector(random_config(family, rng));
         const core::DetectorState state = bank.save_state(lane);
-        if (twin->name() == state.algorithm) twin->restore_state(state);
+        auto twin = core::make_detector(config);
+        twin->restore_state(state);
+        core::DetectorBank fresh(config);
+        fresh.add_lane();
+        fresh.restore_state(0, twin->save_state());
+        expect_state_eq(fresh.save_state(0), state,
+                        context + " cross-restore lane " + std::to_string(lane));
         break;
       }
     }
@@ -227,7 +232,7 @@ TEST(BankFuzz, RandomInterleavingsMatchScalarShadowPortable) {
 }
 
 TEST(BankFuzz, DegenerateShapes) {
-  core::DetectorBank empty("SRAA");
+  core::DetectorBank empty(core::DetectorConfig{"SRAA"});
   EXPECT_EQ(empty.lanes(), 0u);
   EXPECT_THROW(empty.observe_rows(std::vector<double>{1.0}), std::invalid_argument);
   empty.observe_rows({});  // zero rows of zero lanes is a no-op
@@ -236,9 +241,9 @@ TEST(BankFuzz, DegenerateShapes) {
   EXPECT_THROW(empty.observe(0, 1.0), std::invalid_argument);
   EXPECT_THROW(empty.snapshot(0), std::invalid_argument);
 
-  core::DetectorBank single("CLTA");
   core::DetectorConfig config{"CLTA"};
-  single.add_lane(config);
+  core::DetectorBank single(config);
+  single.add_lane();
   const auto scalar = core::make_detector(config);
   single.observe_lanes({}, {});  // empty batch is a no-op
   EXPECT_EQ(single.observations(0), 0u);
@@ -250,9 +255,6 @@ TEST(BankFuzz, DegenerateShapes) {
   }
   expect_state_eq(single.save_state(0), scalar->save_state(), "single-lane CLTA");
 
-  core::DetectorConfig mismatched{"SRAA"};
-  EXPECT_THROW(single.add_lane(mismatched), std::invalid_argument);
-
   std::vector<std::uint32_t> bad_ids{7};
   std::vector<double> one{1.0};
   EXPECT_THROW(single.observe_lanes(bad_ids, one), std::invalid_argument);
@@ -263,8 +265,8 @@ TEST(BankFuzz, DegenerateShapes) {
 TEST(BankFuzz, SteadyStateBatchPathsAllocateNothing) {
   common::RngStream rng(kRootSeed, 0xA110C);
   for (const char* family : kFamilies) {
-    core::DetectorBank bank(family);
-    for (std::size_t lane = 0; lane < 8; ++lane) bank.add_lane(random_config(family, rng));
+    core::DetectorBank bank(random_config(family, rng));
+    bank.add_lanes(8);
 
     std::vector<double> rows(64 * bank.lanes());
     std::vector<std::uint32_t> ids(256);
@@ -302,17 +304,17 @@ TEST(BankFuzz, BankControllerMatchesScalarControllersUnderFuzz) {
     common::RngStream rng(kRootSeed, 0xC0'0000 + static_cast<std::uint64_t>(index));
     const char* family = kFamilies[pick(rng, std::size(kFamilies))];
     const std::uint64_t cooldown = pick(rng, 3) == 0 ? 0 : 1 + pick(rng, 20);
-    core::BankController controller(family, cooldown);
+    const core::DetectorConfig config = random_config(family, rng);
+    core::BankController controller(config, cooldown);
     std::vector<core::RejuvenationController> scalars;
     const std::size_t lane_count = 1 + pick(rng, 5);
     scalars.reserve(lane_count);
+    controller.add_lanes(lane_count);
     for (std::size_t lane = 0; lane < lane_count; ++lane) {
-      const core::DetectorConfig config = random_config(family, rng);
-      controller.add_lane(config);
       scalars.emplace_back(core::make_detector(config), cooldown);
     }
-    const std::string context = std::string(family) + " cooldown " + std::to_string(cooldown) +
-                                " case " + std::to_string(index);
+    const std::string context = core::describe(config) + " cooldown " +
+                                std::to_string(cooldown) + " case " + std::to_string(index);
     for (int op = 0; op < 30; ++op) {
       const std::size_t lane = pick(rng, lane_count);
       if (pick(rng, 4) == 0) {

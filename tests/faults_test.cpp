@@ -741,8 +741,8 @@ TEST(MonitorResume, BankControllerJournalResumesInTheScalarMonitor) {
   std::remove(journal.c_str());
   const core::DetectorConfig detector = core::parse_spec(spec);
   {
-    core::BankController bank(detector.family(), kCooldown);
-    bank.add_lane(detector);
+    core::BankController bank(detector, kCooldown);
+    bank.add_lane();
     const std::vector<std::uint32_t> ids(cut, 0);
     bank.observe_lanes(ids, std::span<const double>(series).first(cut));
     monitor::ShardCheckpoint record;

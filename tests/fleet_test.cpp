@@ -289,8 +289,8 @@ TEST(FleetTest, BinaryPipeMatchesSequentialBankTwin) {
   EXPECT_EQ(stats.protocol_errors, 0u);
 
   // Twin: one bank lane per stream, fed each stream's sequence in order.
-  core::BankController twin(config.detector.family(), 0);
-  for (std::uint32_t s = 0; s < kStreams; ++s) twin.add_lane(config.detector);
+  core::BankController twin(config.detector, 0);
+  twin.add_lanes(kStreams);
   std::uint64_t twin_triggers = 0;
   for (std::uint64_t round = 0; round < kPerStream; ++round) {
     for (std::uint32_t s = 0; s < kStreams; ++s) {
@@ -506,8 +506,8 @@ TEST(FleetTest, ActionsFollowFirstAppearanceThenPerStreamOrder) {
     EXPECT_EQ(stats.processed, batch.size());
 
     // Twin: one lane per stream (dense order), fed the same values.
-    core::BankController twin(config.detector.family(), cooldown);
-    for (std::size_t lane = 0; lane < ids.size(); ++lane) twin.add_lane(config.detector);
+    core::BankController twin(config.detector, cooldown);
+    twin.add_lanes(ids.size());
     const auto lane_of = [&ids](std::uint32_t id) {
       return static_cast<std::size_t>(std::find(ids.begin(), ids.end(), id) - ids.begin());
     };

@@ -89,7 +89,7 @@ if [ "${1:-}" = "sweep" ]; then
   cmake -B "$BUILD_DIR" -S . "${GENERATOR_ARGS[@]}"
   echo "==> sweep build"
   cmake --build "$BUILD_DIR" -j --target rejuv_sim_cli
-  SWEEP_ARGS=(--algorithm=saraa --loads=2,5,9 --txns=5000 --reps=3 --seed=20060625)
+  SWEEP_ARGS=('--detector=SARAA(n=2,K=5,D=3)' --loads=2,5,9 --txns=5000 --reps=3 --seed=20060625)
   echo "==> sweep run (--threads=4 vs REJUV_SEQUENTIAL=1)"
   "$BUILD_DIR"/tools/rejuv-sim "${SWEEP_ARGS[@]}" --threads=4 \
       --csv="$BUILD_DIR"/sweep_parallel.csv > /dev/null

@@ -6,7 +6,7 @@
 // (whose "txn" events carry the response time), so a simulated run can be
 // replayed through the monitor unchanged:
 //
-//   rejuv-sim --algorithm=saraa --loads=9 --trace=run.jsonl
+//   rejuv-sim --detector='SARAA(n=2,K=5,D=3)' --loads=9 --trace=run.jsonl
 //   rejuv-monitor --detector='SARAA(n=2,K=5,D=3)' --source=file:run.jsonl
 //
 //   seq 1 100000 | rejuv-monitor --detector='SRAA(n=2,K=5,D=3)'

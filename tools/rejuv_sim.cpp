@@ -6,22 +6,23 @@
 // can be re-run (and varied) without writing code.
 //
 // Usage examples:
-//   rejuv_sim --algorithm=saraa --n=2 --k=5 --d=3
-//   rejuv_sim --algorithm=clta --n=30 --z=1.96 --loads=0.5,9 --txns=100000 --reps=5
-//   rejuv_sim --algorithm=sraa --n=15 --k=1 --d=1 --arrival=mmpp --burst-rate=3.6
-//   rejuv_sim --algorithm=none --no-gc           # pure M/M/16 baseline
+//   rejuv_sim --detector='SARAA(n=2,K=5,D=3)'
+//   rejuv_sim --detector='CLTA(n=30,z=1.96)' --loads=0.5,9 --txns=100000 --reps=5
+//   rejuv_sim --detector='SRAA(n=15,K=1,D=1)' --arrival=mmpp --burst-rate=3.6
+//   rejuv_sim --detector=None --no-gc           # pure M/M/16 baseline
 //
 // Flags (defaults in brackets):
-//   --detector=SPEC        full detector spec string, e.g. 'SRAA(n=2,K=5,D=3)',
-//                          'CLTA(n=30,z=1.96)' or 'EDiv(b=10,w=30,q=10,g=5)';
-//                          overrides --algorithm and the parameter flags below
-//                          (composes with --calibrate). Same grammar as
-//                          rejuv-monitor; any family in the detector registry
-//                          is accepted (rejuv-monitor --list-detectors).
-//   --algorithm=NAME       registry family name, case-insensitive [saraa]
-//   --n, --k, --d          algorithm parameters [2, 5, 3]
-//   --z                    CLTA / MK quantile [1.96]
-//   --mu-x, --sigma-x      baseline [5, 5]
+//   --detector=SPEC        detector spec string, e.g. 'SRAA(n=2,K=5,D=3)',
+//                          'CLTA(n=30,z=1.96,mu=5,sigma=5)' or
+//                          'EDiv(b=10,w=30,q=10,g=5)'; mu/sigma set the SLA
+//                          baseline [5, 5]. Same grammar as rejuv-monitor;
+//                          any family in the detector registry is accepted
+//                          (rejuv-monitor --list-detectors).
+//                          [SARAA(n=2,K=5,D=3)]
+//                          The former --algorithm, --n, --k, --d, --z, --mu-x
+//                          and --sigma-x flags are refused with a pointer to
+//                          --detector, so an old command line cannot run the
+//                          default detector by mistake.
 //   --calibrate=N          estimate the baseline from the first N healthy
 //                          observations instead (adaptive mode) [off]
 //   --loads=...            offered loads in CPUs [paper grid]
@@ -65,31 +66,19 @@ namespace {
 
 using namespace rejuv;
 
-core::Baseline parse_baseline(const common::Flags& flags) {
-  return {flags.get_double("mu-x", 5.0), flags.get_double("sigma-x", 5.0)};
-}
-
 harness::DetectorFactory parse_detector(const common::Flags& flags, std::string& label) {
-  core::DetectorConfig config;
-  if (const auto spec = flags.get("detector")) {
-    // Spec strings round-trip through core::parse_spec/describe, so the label
-    // is always the canonical form regardless of how the user spelled it.
-    config = core::parse_spec(*spec);
-  } else {
-    // Any registered family works here (case-insensitive): the legacy
-    // --n/--k/--d/--z flags map onto the keys the family actually has, and
-    // families with other knobs (Adaptive, EDiv, Entropy, MK, Bobbio, ...)
-    // run on their schema defaults — use --detector=SPEC to set those.
-    config = core::DetectorConfig{flags.get("algorithm").value_or("saraa")};
-    const auto n = static_cast<std::size_t>(flags.get_int("n", 2));
-    const auto k = static_cast<std::size_t>(flags.get_int("k", 5));
-    const int d = static_cast<int>(flags.get_int("d", 3));
-    if (config.has("n")) config.set("n", static_cast<double>(n));
-    if (config.has("K")) config.set("K", static_cast<double>(k));
-    if (config.has("D")) config.set("D", static_cast<double>(d));
-    if (config.has("z")) config.set("z", flags.get_double("z", 1.96));
-    config.baseline = parse_baseline(flags);
+  // Flags ignores unknown keys, so a dropped flag would otherwise quietly
+  // run the default detector in place of the one it used to name.
+  for (const char* legacy : {"algorithm", "n", "k", "d", "z", "mu-x", "sigma-x"}) {
+    REJUV_EXPECT(!flags.has(legacy),
+                 std::string("--") + legacy +
+                     " is gone: name the detector and its baseline in one spec, e.g. "
+                     "--detector='SARAA(n=2,K=5,D=3,mu=5,sigma=5)'");
   }
+  // Spec strings round-trip through core::parse_spec/describe, so the label
+  // is always the canonical form regardless of how the user spelled it.
+  const core::DetectorConfig config =
+      core::parse_spec(flags.get("detector").value_or("SARAA(n=2,K=5,D=3)"));
 
   if (const auto calibrate = flags.get_int("calibrate", 0); calibrate > 0 && !config.is_null()) {
     label = "Calibrating[" + core::describe(config) + "]";
